@@ -7,7 +7,6 @@ from .adapters import (
     SubprocessModel,
     SubprocessSpec,
     capture_outputs,
-    predict_batch,
 )
 from .dataio import (
     AffineMap,
@@ -43,7 +42,6 @@ from .linalg import (
     FeatureMatrix,
     FeatureVector,
     ProjectionBasis,
-    dot,
     orthonormalize,
     project_out,
     transform_against_feature,
@@ -57,7 +55,6 @@ from .ranking import (
     FeatureResult,
     PerformanceMetric,
     audit_feature,
-    baseline_performance,
     compute_metric,
     rank_all,
 )

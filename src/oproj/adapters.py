@@ -32,16 +32,8 @@ REPEATABILITY_TOL = 1e-12
 
 
 class ModelHandle(ABC):
-    """A queryable black box: n rows in, n finite predictions out.
+    """A queryable black box: n rows in, n finite predictions out."""
 
-    ``output_mode`` is "score" for continuous outputs and "label" for 0/1.
-    ``supports_concurrency`` tells the engine whether batch queries may be
-    issued from concurrent tasks.
-    """
-
-    kind: str = "in-process"
-    output_mode: str = "score"
-    supports_concurrency: bool = True
     feature_names: tuple[str, ...] | None = None
 
     def predict_batch(self, X: FeatureMatrix) -> np.ndarray:
@@ -68,21 +60,19 @@ class ModelHandle(ABC):
 
 
 class InProcessModel(ModelHandle):
-    """Wraps a plain callable mapping an n x k float array to n predictions."""
+    """Wraps a plain callable mapping an n x k float array to n predictions.
+
+    The callable receives a fresh, writable copy of the query matrix.
+    """
 
     def __init__(
         self,
         fn: Callable[[np.ndarray], np.ndarray],
         *,
         feature_names: Sequence[str] | None = None,
-        output_mode: str = "score",
-        kind: str = "in-process",
     ):
         self.fn = fn
         self.feature_names = tuple(feature_names) if feature_names is not None else None
-        self.output_mode = output_mode
-        self.kind = kind
-        self.supports_concurrency = True
 
     def _predict(self, X: FeatureMatrix) -> np.ndarray:
         return self.fn(X.as_array())
@@ -144,13 +134,9 @@ class SubprocessModel(ModelHandle):
         spec: SubprocessSpec,
         *,
         feature_names: Sequence[str] | None = None,
-        output_mode: str = "score",
     ):
         self.spec = spec
         self.feature_names = tuple(feature_names) if feature_names is not None else None
-        self.output_mode = output_mode
-        self.kind = "subprocess"
-        self.supports_concurrency = False
 
     def _predict(self, X: FeatureMatrix) -> np.ndarray:
         if X.n > self.spec.max_batch_rows:
@@ -179,11 +165,6 @@ class SubprocessModel(ModelHandle):
                 + (f": {stderr[:500]}" if stderr else "")
             )
         return parse_prediction_lines(proc.stdout.decode("utf-8"), X.n)
-
-
-def predict_batch(h: ModelHandle, X: FeatureMatrix) -> np.ndarray:
-    """Functional alias for ``h.predict_batch(X)``."""
-    return h.predict_batch(X)
 
 
 def capture_outputs(

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, DegenerateFeatureError, SyntheticSpecError
-from .linalg import FeatureMatrix, FeatureVector
+from .errors import DataError, SyntheticSpecError
+from .linalg import FeatureMatrix
 
 VALID_ROLES = ("feature", "target", "ignore")
 VALID_KINDS = ("numeric", "categorical")
@@ -133,7 +133,8 @@ def load_csv(
         for h, cell in zip(header, row):
             raw_columns[h].append(cell)
 
-    features: list[FeatureVector] = []
+    names: list[str] = []
+    columns: list[np.ndarray] = []
     target: np.ndarray | None = None
     target_name = schema.target_column()
     for h in header:
@@ -157,20 +158,24 @@ def load_csv(
                     )
                 cells.append(text)
             for level in sorted(set(cells)):
-                indicator = np.asarray(
-                    [1.0 if c == level else 0.0 for c in cells], dtype=np.float64
+                names.append(f"{h}={level}")
+                columns.append(
+                    np.asarray([1.0 if c == level else 0.0 for c in cells], dtype=np.float64)
                 )
-                features.append(FeatureVector(f"{h}={level}", indicator))
         else:
             values = [
                 _parse_numeric(c, row=r, column=h)
                 for r, c in enumerate(raw_columns[h], start=1)
             ]
-            features.append(FeatureVector(h, np.asarray(values, dtype=np.float64)))
+            names.append(h)
+            columns.append(np.asarray(values, dtype=np.float64))
 
-    if not features:
+    if not columns:
         raise DataError(f"{path} contains no feature columns after applying the schema")
-    return FeatureMatrix(tuple(features)), target
+    # The parsed cells dominate peak memory; free them before the matrix
+    # gets its one (column-major) array.
+    del rows, raw_columns
+    return FeatureMatrix._adopt(names, np.array(columns).T), target
 
 
 def save_csv(
@@ -218,25 +223,25 @@ def standardize(X: FeatureMatrix) -> tuple[FeatureMatrix, list[AffineMap]]:
     """Z-score every column (population convention, divisor n).
 
     A second centering pass, folded into the returned affine map, keeps the
-    output mean below 1e-12 even for columns with large offsets. Constant
-    columns are a DegenerateFeatureError naming the column.
+    output mean below 1e-12 even for columns with large offsets. A constant
+    column cannot be scaled and passes through under the identity map, so
+    the audit, not standardization, flags it.
     """
-    out_cols: list[FeatureVector] = []
+    out = np.empty((X.n, X.k), order="F")
     maps: list[AffineMap] = []
-    for c in X.columns:
-        v = c.values
+    for j in range(X.k):
+        v = X.data[:, j]
         mean = float(np.mean(v))
         sd = float(np.sqrt(np.mean((v - mean) ** 2)))
         if sd == 0.0 or sd < 1e-12 * max(abs(mean), 1.0):
-            raise DegenerateFeatureError(
-                f"column '{c.name}' is constant (sd={sd:.3e}); it cannot be standardized"
-            )
+            out[:, j] = v
+            maps.append(AffineMap(offset=0.0, scale=1.0))
+            continue
         z = (v - mean) / sd
         resid_mean = float(np.mean(z))
-        z = z - resid_mean
-        out_cols.append(FeatureVector(c.name, z))
+        out[:, j] = z - resid_mean
         maps.append(AffineMap(offset=mean + sd * resid_mean, scale=sd))
-    return FeatureMatrix(tuple(out_cols)), maps
+    return FeatureMatrix._adopt(X.names, out), maps
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Dense column-vector arithmetic and orthogonal projection.
+"""Dense column arithmetic and orthogonal projection.
 
 Everything here is pure: inputs are never mutated, outputs are freshly
 allocated, and all arithmetic is float64.
@@ -57,79 +57,107 @@ class FeatureVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))
 
-    def with_values(self, values: np.ndarray) -> "FeatureVector":
-        return FeatureVector(self.name, values)
 
-
-@dataclass(frozen=True)
 class FeatureMatrix:
-    """An ordered collection of uniquely named columns sharing length n."""
+    """Uniquely named columns of n finite float64 samples. Immutable.
 
-    columns: tuple[FeatureVector, ...]
+    ``data`` is the one (n, k) array behind the matrix: read-only and
+    column-major, so every column is a contiguous view and per-column
+    arithmetic sums in the same order as on a standalone vector.
+    Finiteness is checked where samples come in (``FeatureVector``,
+    ``from_arrays``, ``load_csv``), not again on matrices derived from them.
+    """
 
-    def __post_init__(self):
-        cols = tuple(self.columns)
-        if len(cols) < 1:
+    __slots__ = ("names", "data")
+
+    def __init__(self, columns: Sequence[FeatureVector]):
+        cols = tuple(columns)
+        if not cols:
             raise DimensionError("matrix needs at least one column")
         n = len(cols[0])
-        if n < 2:
-            raise DimensionError("matrix needs at least two samples")
         for c in cols:
             if len(c) != n:
                 raise DimensionError(
                     f"column '{c.name}' has length {len(c)}, expected {n}"
                 )
-        names = [c.name for c in cols]
+        # Stacking k rows of n and transposing gives the column-major layout.
+        self._init(tuple(c.name for c in cols), np.array([c.values for c in cols]).T)
+
+    @classmethod
+    def _adopt(cls, names: Sequence[str], data: np.ndarray) -> "FeatureMatrix":
+        """Wrap a finite, Fortran-order float64 array without copying it.
+
+        The array becomes read-only, so the caller must hold no other
+        writable reference to it.
+        """
+        m = cls.__new__(cls)
+        m._init(tuple(names), data)
+        return m
+
+    def _init(self, names: tuple[str, ...], data: np.ndarray) -> None:
+        if data.shape[1] < 1:
+            raise DimensionError("matrix needs at least one column")
+        if data.shape[0] < 2:
+            raise DimensionError("matrix needs at least two samples")
         if len(set(names)) != len(names):
             dupes = sorted({x for x in names if names.count(x) > 1})
             raise DimensionError(f"duplicate column names: {dupes}")
-        object.__setattr__(self, "columns", cols)
+        data.flags.writeable = False
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "data", data)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FeatureMatrix is immutable; cannot set '{name}'")
 
     @classmethod
     def from_arrays(cls, names: Sequence[str], data: np.ndarray) -> "FeatureMatrix":
-        """Build from an n x k array whose columns line up with ``names``."""
-        data = np.asarray(data, dtype=np.float64)
-        if data.ndim != 2:
-            raise DimensionError(f"expected a 2-D array, got shape {data.shape}")
-        if data.shape[1] != len(names):
-            raise DimensionError(
-                f"{len(names)} names for {data.shape[1]} columns"
-            )
-        return cls(tuple(FeatureVector(nm, data[:, j]) for j, nm in enumerate(names)))
+        """Copy an n x k array whose columns line up with ``names``."""
+        arr = np.array(data, dtype=np.float64, order="F")
+        if arr.ndim != 2:
+            raise DimensionError(f"expected a 2-D array, got shape {arr.shape}")
+        if arr.shape[1] != len(names):
+            raise DimensionError(f"{len(names)} names for {arr.shape[1]} columns")
+        finite = np.isfinite(arr).all(axis=0)
+        if not finite.all():
+            bad = names[int(np.argmin(finite))]
+            raise ValueError(f"feature '{bad}' contains non-finite entries")
+        return cls._adopt(names, arr)
 
     @property
     def n(self) -> int:
-        return len(self.columns[0])
+        return self.data.shape[0]
 
     @property
     def k(self) -> int:
-        return len(self.columns)
+        return self.data.shape[1]
 
     @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.columns)
+    def columns(self) -> tuple[FeatureVector, ...]:
+        """Every column as a freshly built vector."""
+        return tuple(FeatureVector(nm, self.data[:, j]) for j, nm in enumerate(self.names))
 
     def index(self, name: str) -> int:
-        for j, c in enumerate(self.columns):
-            if c.name == name:
-                return j
-        raise FeatureLookupError(f"no feature named '{name}' (have {list(self.names)})")
+        try:
+            return self.names.index(name)
+        except ValueError:
+            raise FeatureLookupError(
+                f"no feature named '{name}' (have {list(self.names)})"
+            ) from None
 
     def column(self, name: str) -> FeatureVector:
-        return self.columns[self.index(name)]
+        return FeatureVector(name, self.data[:, self.index(name)])
 
     def as_array(self) -> np.ndarray:
-        """Fresh n x k float64 array in column order."""
-        return np.column_stack([c.values for c in self.columns])
+        """Fresh, writable, C-ordered n x k copy in column order."""
+        return np.array(self.data, order="C")
 
     def take_rows(self, rows: np.ndarray) -> "FeatureMatrix":
-        return FeatureMatrix(
-            tuple(FeatureVector(c.name, c.values[rows]) for c in self.columns)
-        )
+        return FeatureMatrix._adopt(self.names, np.asfortranarray(self.data[rows]))
 
     def drop(self, name: str) -> "FeatureMatrix":
         idx = self.index(name)
-        return FeatureMatrix(tuple(c for j, c in enumerate(self.columns) if j != idx))
+        names = self.names[:idx] + self.names[idx + 1 :]
+        return FeatureMatrix._adopt(names, np.delete(self.data, idx, axis=1))
 
 
 @dataclass(frozen=True)
@@ -153,12 +181,12 @@ class ProjectionBasis:
                 raise DimensionError("basis vectors must share a common length")
             if abs(v.norm - 1.0) > 1e-10:
                 raise ValueError(f"basis vector '{v.name}' is not unit-norm")
-        arr = np.column_stack([v.values for v in vecs])
+        object.__setattr__(self, "vectors", vecs)
+        arr = self.as_array()
         gram = arr.T @ arr
         off = gram - np.eye(len(vecs))
         if np.max(np.abs(off)) > 1e-10 * n:
             raise ValueError("basis vectors are not mutually orthogonal")
-        object.__setattr__(self, "vectors", vecs)
 
     @property
     def n(self) -> int:
@@ -168,29 +196,14 @@ class ProjectionBasis:
         return np.column_stack([v.values for v in self.vectors])
 
 
-def dot(a: FeatureVector, b: FeatureVector) -> float:
-    """Mathematical dot product of two equal-length vectors."""
-    if len(a) != len(b):
-        raise DimensionError(f"length mismatch: {len(a)} vs {len(b)}")
-    return float(np.dot(a.values, b.values))
-
-
-def project_out(v: FeatureVector, u: FeatureVector) -> FeatureVector:
+def project_out(v: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Component of ``v`` orthogonal to ``u``: v - (u.v / u.u) u.
 
-    Raises DegenerateFeatureError when ``u`` is numerically zero, since the
-    coefficient would divide by noise.
+    ``u`` must not be numerically zero; transform_against_vector checks
+    that before projecting any column.
     """
-    if len(v) != len(u):
-        raise DimensionError(f"length mismatch: {len(v)} vs {len(u)}")
-    n = len(u)
-    u_norm = float(np.linalg.norm(u.values))
-    if u_norm <= ZERO_NORM_TOL * np.sqrt(n):
-        raise DegenerateFeatureError(
-            f"cannot project against '{u.name}': norm {u_norm:.3e} is numerically zero"
-        )
-    coef = float(np.dot(u.values, v.values)) / float(np.dot(u.values, u.values))
-    return v.with_values(v.values - coef * u.values)
+    coef = float(np.dot(u, v)) / float(np.dot(u, u))
+    return v - coef * u
 
 
 def orthonormalize(
@@ -240,9 +253,19 @@ def orthonormalize(
 def _complement_projection(data: np.ndarray, basis_arr: np.ndarray) -> np.ndarray:
     # Two passes: the second removes the components reintroduced by rounding,
     # keeping residuals orthogonal relative to their own (possibly tiny) norms.
-    out = data - basis_arr @ (basis_arr.T @ data)
-    out -= basis_arr @ (basis_arr.T @ out)
+    # Products land in column-major arrays, so the subtractions never mix
+    # memory layouts.
+    out = np.matmul(basis_arr, basis_arr.T @ data, out=np.empty(data.shape, order="F"))
+    np.subtract(data, out, out=out)
+    out -= np.matmul(basis_arr, basis_arr.T @ out, out=np.empty(data.shape, order="F"))
     return out
+
+
+def _check_transformable(X_pre: FeatureMatrix, n: int, what: str) -> None:
+    if X_pre.k == 1:
+        raise DimensionError("cannot transform a single-column matrix; nothing remains")
+    if n != X_pre.n:
+        raise DimensionError(f"{what} length {n} does not match sample count {X_pre.n}")
 
 
 def transform_against_feature(
@@ -250,18 +273,11 @@ def transform_against_feature(
 ) -> FeatureMatrix:
     """Drop ``current`` and project every other column onto the orthogonal
     complement of span(basis). Column order and names are preserved."""
-    idx = X_pre.index(current)
-    if X_pre.k == 1:
-        raise DimensionError("cannot transform a single-column matrix; nothing remains")
-    if basis.n != X_pre.n:
-        raise DimensionError(
-            f"basis length {basis.n} does not match sample count {X_pre.n}"
-        )
-    rest = [c for j, c in enumerate(X_pre.columns) if j != idx]
-    data = np.column_stack([c.values for c in rest])
-    projected = _complement_projection(data, basis.as_array())
-    return FeatureMatrix(
-        tuple(FeatureVector(c.name, projected[:, j]) for j, c in enumerate(rest))
+    X_pre.index(current)
+    _check_transformable(X_pre, basis.n, "basis")
+    rest = X_pre.drop(current)
+    return FeatureMatrix._adopt(
+        rest.names, _complement_projection(rest.data, basis.as_array())
     )
 
 
@@ -272,7 +288,14 @@ def transform_against_vector(
     to every remaining column. This is the linear-only transformation; the
     basis route reduces to it when no nonlinear companions are enabled."""
     idx = X_pre.index(current)
-    if X_pre.k == 1:
-        raise DimensionError("cannot transform a single-column matrix; nothing remains")
-    rest = [c for j, c in enumerate(X_pre.columns) if j != idx]
-    return FeatureMatrix(tuple(project_out(c, u) for c in rest))
+    _check_transformable(X_pre, len(u), "vector")
+    u_norm = float(np.linalg.norm(u.values))
+    if u_norm <= ZERO_NORM_TOL * np.sqrt(len(u)):
+        raise DegenerateFeatureError(
+            f"cannot project against '{u.name}': norm {u_norm:.3e} is numerically zero"
+        )
+    rest = [j for j in range(X_pre.k) if j != idx]
+    out = np.empty((X_pre.n, len(rest)), order="F")
+    for col, j in enumerate(rest):
+        out[:, col] = project_out(X_pre.data[:, j], u.values)
+    return FeatureMatrix._adopt([X_pre.names[j] for j in rest], out)

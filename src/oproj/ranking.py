@@ -24,7 +24,6 @@ from .errors import (
 )
 from .linalg import (
     FeatureMatrix,
-    FeatureVector,
     orthonormalize,
     transform_against_feature,
     transform_against_vector,
@@ -95,13 +94,6 @@ def compute_metric(pred, y, metric: PerformanceMetric) -> float:
     return float(np.mean((pred >= metric.threshold) == (y >= metric.threshold)))
 
 
-def baseline_performance(
-    model: ModelHandle, X: FeatureMatrix, y, metric: PerformanceMetric
-) -> float:
-    """Metric of the model's predictions on the untransformed matrix."""
-    return compute_metric(model.predict_batch(X), y, metric)
-
-
 @dataclass(frozen=True)
 class AuditOutcome:
     """Result of auditing one feature."""
@@ -159,9 +151,9 @@ def _prepare(X: FeatureMatrix, cfg: AuditConfig) -> _Prepared:
     return _Prepared(raw=X, audit=X, maps=None)
 
 
-def _replacement_value(raw_column: FeatureVector, cfg: AuditConfig) -> float:
+def _replacement_value(raw_column: np.ndarray, cfg: AuditConfig) -> float:
     if cfg.replacement == "mean":
-        return float(np.mean(raw_column.values))
+        return float(np.mean(raw_column))
     if cfg.replacement == "zero":
         return 0.0
     return float(cfg.replacement_value)
@@ -174,17 +166,14 @@ def _assemble_query(
     columns mapped back through their affine maps, the audited column a
     constant carrying no information."""
     raw = prepared.raw
-    cols: list[FeatureVector] = []
-    for i, col in enumerate(raw.columns):
-        if i == current_idx:
-            value = _replacement_value(col, cfg)
-            cols.append(FeatureVector(col.name, np.full(raw.n, value)))
-            continue
-        pcol = projected.column(col.name).values
-        if prepared.maps is not None:
-            pcol = prepared.maps[i].invert(pcol)
-        cols.append(FeatureVector(col.name, pcol))
-    return FeatureMatrix(tuple(cols))
+    query = np.empty((raw.n, raw.k), order="F")
+    query[:, current_idx] = _replacement_value(raw.data[:, current_idx], cfg)
+    if projected is not None:
+        rest = [i for i in range(raw.k) if i != current_idx]
+        for col, i in enumerate(rest):
+            pcol = projected.data[:, col]
+            query[:, i] = pcol if prepared.maps is None else prepared.maps[i].invert(pcol)
+    return FeatureMatrix._adopt(raw.names, query)
 
 
 def _audit_prepared(
@@ -196,8 +185,7 @@ def _audit_prepared(
     baseline: float,
 ) -> AuditOutcome:
     idx = prepared.audit.index(current)
-    audited = prepared.audit.columns[idx]
-    if np.ptp(audited.values) == 0.0:
+    if np.ptp(prepared.audit.data[:, idx]) == 0.0:
         raise DegenerateFeatureError(
             f"feature '{current}' is constant and cannot be audited"
         )

@@ -187,8 +187,8 @@ def fit_logistic(
 
 
 def surrogate_handle(m: RidgeModel | LogisticModel) -> ModelHandle:
-    """Wrap a fitted stand-in as a concurrent, score-mode model handle."""
-    return InProcessModel(m.predict, kind="surrogate", output_mode="score")
+    """Wrap a fitted stand-in as a model handle."""
+    return InProcessModel(m.predict)
 
 
 @dataclass(frozen=True)
@@ -231,7 +231,7 @@ def train_surrogate(
         raise DimensionError(f"{n} samples is too few for a {holdout_fraction} holdout")
     hold_rows, train_rows = perm[:n_hold], perm[n_hold:]
     X_train = X.take_rows(train_rows)
-    X_hold = X.as_array()[hold_rows]
+    X_hold = X.data[hold_rows]
 
     if family == "ridge":
         model: RidgeModel | LogisticModel = fit_ridge(X_train, y[train_rows], lam)

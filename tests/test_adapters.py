@@ -9,7 +9,6 @@ from oproj.adapters import (
     capture_outputs,
     format_matrix_csv,
     parse_prediction_lines,
-    predict_batch,
 )
 from oproj.errors import (
     AdapterError,
@@ -38,11 +37,6 @@ class TestInProcessModel:
         m = matrix([[1.0], [2.0], [3.0]])
         h = InProcessModel(lambda a: a[:, 0])
         np.testing.assert_array_equal(h.predict_batch(m), [1, 2, 3])
-
-    def test_functional_alias(self):
-        m = matrix([[1.0], [2.0]])
-        h = InProcessModel(lambda a: a[:, 0])
-        np.testing.assert_array_equal(predict_batch(h, m), h.predict_batch(m))
 
     def test_feature_name_mismatch(self):
         m = matrix([[1.0, 2.0], [3.0, 4.0]], names=["a", "b"])

@@ -1,5 +1,10 @@
 import json
+import os
+import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +14,7 @@ from oproj.cli import main, parse_replacement, parse_target, parse_transforms, r
 from oproj.transforms import TransformSet
 
 LINEAR_MODEL = fixture_command("linear_model.py")
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_spec(tmp_path, text):
@@ -117,6 +123,29 @@ class TestAudit:
         assert [e["name"] for e in doc["entries"]] == ["x1", "x2", "x3", "x4"]
         assert doc["config"]["seed"] == 7
         assert doc["config"]["target"] == "column:target"
+
+    def test_report_identical_across_blas_thread_counts(self, tmp_path):
+        coefficients = ",".join(str(c) for c in range(12, 0, -1))
+        data = synth(tmp_path, f"n=3000\ncoefficients={coefficients}\nnoise_sd=0.1\nseed=7\n")
+        reports = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (str(SRC), env.get("PYTHONPATH")) if p
+            )
+            out = tmp_path / f"threads{threads}"
+            argv = ["audit", "--data", str(data), "--model", LINEAR_MODEL, "--out", str(out)]
+            proc = subprocess.run(
+                [sys.executable, "-m", "oproj.cli", *argv],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            text = (out / "report.json").read_text()
+            reports.append(re.sub(r'"generated_at": "[^"]*"', '"generated_at": ""', text))
+        assert reports[0] == reports[1]
 
     def test_all_formats_written(self, tmp_path):
         data = synth(tmp_path)

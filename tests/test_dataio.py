@@ -14,7 +14,7 @@ from oproj.dataio import (
     save_csv,
     standardize,
 )
-from oproj.errors import DataError, DegenerateFeatureError, SyntheticSpecError
+from oproj.errors import DataError, SyntheticSpecError
 from oproj.linalg import FeatureMatrix, FeatureVector
 from oproj.surrogate import fit_ridge
 
@@ -131,15 +131,16 @@ class TestStandardize:
             twice.as_array(), once.as_array(), rtol=0, atol=1e-12
         )
 
-    def test_constant_column_rejected(self):
+    def test_constant_column_maps_by_identity(self):
         m = FeatureMatrix(
             (
                 FeatureVector("ok", np.array([1.0, 2.0, 3.0])),
                 FeatureVector("flat", np.array([5.0, 5.0, 5.0])),
             )
         )
-        with pytest.raises(DegenerateFeatureError, match="'flat'"):
-            standardize(m)
+        out, maps = standardize(m)
+        np.testing.assert_array_equal(out.column("flat").values, [5.0, 5.0, 5.0])
+        assert maps[1] == AffineMap(offset=0.0, scale=1.0)
 
     def test_large_offset_mean_still_tiny(self, rng):
         # Columns with mean ~1e6 stress the centering; the second pass keeps

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oproj.dataio import load_csv, save_csv, standardize
 from oproj.errors import (
     DegenerateFeatureError,
     DegenerateSubspaceError,
@@ -13,7 +14,6 @@ from oproj.linalg import (
     FeatureMatrix,
     FeatureVector,
     ProjectionBasis,
-    dot,
     orthonormalize,
     project_out,
     transform_against_feature,
@@ -70,80 +70,125 @@ class TestFeatureMatrix:
         assert (m.n, m.k) == (10, 3)
 
 
-class TestDot:
-    def test_orthogonal_plus_aligned(self):
-        assert dot(fv("a", [1, 0, 0]), fv("b", [2, 3, 0])) == 2.0
+def _built_by(how, tmp_path):
+    data = np.random.default_rng(3).standard_normal((12, 3))
+    m = FeatureMatrix.from_arrays(["a", "b", "c"], data)
+    if how == "from_arrays":
+        return m
+    if how == "columns":
+        return FeatureMatrix(m.columns)
+    if how == "load_csv":
+        path = tmp_path / "d.csv"
+        save_csv(m, path)
+        return load_csv(path)[0]
+    if how == "standardize":
+        return standardize(m)[0]
+    if how == "take_rows":
+        return m.take_rows(np.array([5, 0, 7]))
+    if how == "drop":
+        return m.drop("b")
+    if how == "transform_against_feature":
+        return transform_against_feature(m, "a", orthonormalize([m.column("a")]))
+    return transform_against_vector(m, "a", m.column("a"))
 
-    def test_direct_arithmetic(self):
-        assert dot(fv("a", [1, 2]), fv("b", [2, 4])) == 10.0
 
-    def test_zero_annihilates(self):
-        assert dot(fv("a", [0, 0]), fv("b", [5, 7])) == 0.0
+class TestStorageContract:
+    @pytest.mark.parametrize(
+        "how",
+        [
+            "from_arrays",
+            "columns",
+            "load_csv",
+            "standardize",
+            "take_rows",
+            "drop",
+            "transform_against_feature",
+            "transform_against_vector",
+        ],
+    )
+    def test_data_is_read_only_column_major(self, how, tmp_path):
+        m = _built_by(how, tmp_path)
+        assert m.data.shape == (m.n, m.k)
+        assert m.data.dtype == np.float64
+        assert m.data.flags.f_contiguous
+        assert not m.data.flags.writeable
+        with pytest.raises(ValueError):
+            m.data[0, 0] = 1.0
 
-    def test_symmetric(self, rng):
-        a = fv("a", rng.standard_normal(50))
-        b = fv("b", rng.standard_normal(50))
-        assert dot(a, b) == dot(b, a)
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_as_array_is_a_fresh_writable_row_major_copy(self, k, rng):
+        data = rng.standard_normal((6, k))
+        m = FeatureMatrix.from_arrays([f"x{j}" for j in range(k)], data)
+        out = m.as_array()
+        assert out.flags.c_contiguous and out.flags.writeable
+        assert not np.shares_memory(out, m.data)
+        np.testing.assert_array_equal(out, data)
 
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            dot(fv("a", [1, 2]), fv("b", [1, 2, 3]))
+    def test_from_arrays_copies_its_input(self, rng):
+        data = rng.standard_normal((4, 2))
+        m = FeatureMatrix.from_arrays(["a", "b"], data)
+        data[0, 0] = 99.0
+        assert m.data[0, 0] != 99.0
+
+    def test_from_arrays_nan_names_the_column(self):
+        data = np.array([[1.0, 2.0], [3.0, np.nan]])
+        with pytest.raises(ValueError, match="feature 'b' contains non-finite"):
+            FeatureMatrix.from_arrays(["a", "b"], data)
 
 
 class TestProjectOut:
     def test_axis_aligned_removal(self):
-        out = project_out(fv("v", [2, 3, 0]), fv("u", [1, 0, 0]))
-        np.testing.assert_allclose(out.values, [0, 3, 0], atol=1e-15)
+        out = project_out(np.array([2.0, 3.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+        np.testing.assert_allclose(out, [0, 3, 0], atol=1e-15)
 
     def test_parallel_vectors_vanish(self):
-        out = project_out(fv("v", [2, 4]), fv("u", [1, 2]))
-        np.testing.assert_allclose(out.values, [0, 0], atol=1e-15)
+        out = project_out(np.array([2.0, 4.0]), np.array([1.0, 2.0]))
+        np.testing.assert_allclose(out, [0, 0], atol=1e-15)
 
     def test_direct_formula(self):
-        out = project_out(fv("v", [1, 0]), fv("u", [1, 1]))
-        np.testing.assert_allclose(out.values, [0.5, -0.5], rtol=1e-15)
+        out = project_out(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
+        np.testing.assert_allclose(out, [0.5, -0.5], rtol=1e-15)
 
     def test_zero_direction_rejected(self):
+        m = FeatureMatrix((fv("u", [0, 0]), fv("v", [1, 2])))
         with pytest.raises(DegenerateFeatureError, match="'u'"):
-            project_out(fv("v", [1, 2]), fv("u", [0, 0]))
+            transform_against_vector(m, "u", m.column("u"))
 
     def test_result_orthogonal_to_direction(self, rng):
         for _ in range(20):
-            v = fv("v", rng.standard_normal(40))
-            u = fv("u", rng.standard_normal(40))
+            v = rng.standard_normal(40)
+            u = rng.standard_normal(40)
             out = project_out(v, u)
-            assert abs(dot(out, u)) <= 1e-8 * v.norm * u.norm
+            assert abs(np.dot(out, u)) <= 1e-8 * np.linalg.norm(v) * np.linalg.norm(u)
 
     def test_idempotent(self, rng):
-        v = fv("v", rng.standard_normal(64))
-        u = fv("u", rng.standard_normal(64))
+        v = rng.standard_normal(64)
+        u = rng.standard_normal(64)
         once = project_out(v, u)
         twice = project_out(once, u)
-        np.testing.assert_allclose(twice.values, once.values, rtol=0, atol=1e-10 * v.norm)
+        np.testing.assert_allclose(twice, once, rtol=0, atol=1e-10 * np.linalg.norm(v))
 
     def test_norm_never_grows(self, rng):
         for _ in range(20):
-            v = fv("v", rng.standard_normal(30))
-            u = fv("u", rng.standard_normal(30))
-            assert project_out(v, u).norm <= v.norm * (1 + 1e-12)
+            v = rng.standard_normal(30)
+            u = rng.standard_normal(30)
+            assert np.linalg.norm(project_out(v, u)) <= np.linalg.norm(v) * (1 + 1e-12)
 
     def test_linearity(self, rng):
         v = rng.standard_normal(50)
         w = rng.standard_normal(50)
-        u = fv("u", rng.standard_normal(50))
+        u = rng.standard_normal(50)
         a, b = 2.5, -1.25
-        combined = project_out(fv("c", a * v + b * w), u).values
-        separate = a * project_out(fv("v", v), u).values + b * project_out(fv("w", w), u).values
+        combined = project_out(a * v + b * w, u)
+        separate = a * project_out(v, u) + b * project_out(w, u)
         np.testing.assert_allclose(combined, separate, rtol=1e-8, atol=1e-8)
 
     def test_reconstruction(self, rng):
-        v = fv("v", rng.standard_normal(50))
-        u = fv("u", rng.standard_normal(50))
+        v = rng.standard_normal(50)
+        u = rng.standard_normal(50)
         resid = project_out(v, u)
-        coef = dot(u, v) / dot(u, u)
-        np.testing.assert_allclose(
-            resid.values + coef * u.values, v.values, rtol=1e-12, atol=1e-12
-        )
+        coef = np.dot(u, v) / np.dot(u, u)
+        np.testing.assert_allclose(resid + coef * u, v, rtol=1e-12, atol=1e-12)
 
 
 @settings(deadline=None, max_examples=50)
@@ -163,10 +208,10 @@ def test_project_out_properties_hypothesis(data):
     n = len(u)
     if np.linalg.norm(u) <= 1e-12 * np.sqrt(n):
         return
-    out = project_out(fv("v", v), fv("u", u))
+    out = project_out(v, u)
     scale = max(np.linalg.norm(v) * np.linalg.norm(u), 1e-30)
-    assert abs(float(np.dot(out.values, u))) <= 1e-8 * scale
-    assert out.norm <= np.linalg.norm(v) * (1 + 1e-9) + 1e-12
+    assert abs(float(np.dot(out, u))) <= 1e-8 * scale
+    assert np.linalg.norm(out) <= np.linalg.norm(v) * (1 + 1e-9) + 1e-12
 
 
 class TestOrthonormalize:
@@ -293,8 +338,8 @@ class TestTransformAgainstVector:
         out = transform_against_vector(m, "b", u)
         assert out.names == ("a", "c", "d")
         for name in out.names:
-            expected = project_out(m.column(name), u)
-            np.testing.assert_array_equal(out.column(name).values, expected.values)
+            expected = project_out(m.column(name).values, u.values)
+            np.testing.assert_array_equal(out.column(name).values, expected)
 
     def test_orthogonal_design_unchanged(self):
         m = FeatureMatrix((fv("x1", [1, 0, 0]), fv("x2", [0, 1, 0])))

@@ -18,7 +18,6 @@ from oproj.ranking import (
     PerformanceMetric,
     _normalize_entries,
     audit_feature,
-    baseline_performance,
     compute_metric,
     rank_all,
 )
@@ -82,13 +81,13 @@ class TestBaselinePerformance:
         m = matrix(rng.standard_normal((20, 2)))
         h = InProcessModel(lambda a: a[:, 0] - a[:, 1])
         y = h.predict_batch(m)
-        assert baseline_performance(h, m, y, PerformanceMetric("mse")) == 0.0
+        assert compute_metric(h.predict_batch(m), y, PerformanceMetric("mse")) == 0.0
 
     def test_self_consistency_accuracy(self, rng):
         m = matrix(rng.standard_normal((20, 2)))
         h = InProcessModel(lambda a: (a[:, 0] > 0).astype(float))
         y = h.predict_batch(m)
-        assert baseline_performance(h, m, y, PerformanceMetric("accuracy")) == 1.0
+        assert compute_metric(h.predict_batch(m), y, PerformanceMetric("accuracy")) == 1.0
 
     def test_exact_fit_baseline_equals_noise_variance(self):
         # Oracle: the residual variance computed from the actual noise draw.
@@ -100,7 +99,7 @@ class TestBaselinePerformance:
         m = matrix(x[:, None])
         fit = fit_ridge(m, y, lam=0.0)
         h = InProcessModel(fit.predict)
-        b = baseline_performance(h, m, y, PerformanceMetric("mse"))
+        b = compute_metric(h.predict_batch(m), y, PerformanceMetric("mse"))
         noise_var = float(np.mean((noise - noise.mean()) ** 2))
         assert b == pytest.approx(noise_var, rel=0.05)
 
@@ -352,6 +351,19 @@ class TestRankAll:
         assert {e.name for e in scored} == {"x1", "x3"}
         assert scored[0].normalized == 100.0
 
+    @pytest.mark.parametrize("standardize", [True, False])
+    def test_constant_column_flagged_and_rest_audited(self, rng, standardize):
+        data = rng.standard_normal((80, 3))
+        data[:, 1] = 5.0
+        h = InProcessModel(lambda a: a @ np.array([2.0, 1.0, 0.5]))
+        report = rank_all(h, matrix(data), AuditConfig(standardize=standardize))
+        flat = report.entry("x2")
+        assert flat.raw_delta is None
+        assert "'x2'" in flat.error and "constant" in flat.error
+        scored = [e for e in report.entries if e.error is None]
+        assert {e.name for e in scored} == {"x1", "x3"}
+        assert scored[0].normalized == 100.0
+
     def test_all_features_failing_raises(self, rng):
         data = rng.standard_normal((30, 2))
         m = matrix(data)
@@ -377,7 +389,7 @@ class TestRankAll:
     def test_accuracy_metric_path(self, rng):
         data = rng.standard_normal((400, 2))
         m = matrix(data)
-        h = InProcessModel(lambda a: (a[:, 0] > 0).astype(float), output_mode="label")
+        h = InProcessModel(lambda a: (a[:, 0] > 0).astype(float))
         cfg = AuditConfig(metric=PerformanceMetric("accuracy"))
         report = rank_all(h, m, cfg)
         assert report.baseline == 1.0

@@ -158,9 +158,6 @@ class TestSurrogateHandle:
         X = rng.standard_normal((30, 2))
         model = fit_ridge(matrix(X), X @ np.array([1.0, 2.0]), lam=1e-6)
         h = surrogate_handle(model)
-        assert h.kind == "surrogate"
-        assert h.output_mode == "score"
-        assert h.supports_concurrency
         np.testing.assert_allclose(
             h.predict_batch(matrix(X)), model.predict(X), rtol=1e-15
         )
