@@ -1,19 +1,22 @@
 """Uniform batch-prediction interface over in-process and subprocess models.
 
-Subprocess wire protocol: the auditor writes CSV to the model's stdin
+Subprocess wire protocol: the model's stdin is a regular file holding CSV
 (header row of feature names, then one data row per sample, shortest
-round-trip decimal formatting), closes stdin, and expects exactly n lines
-on stdout, each a single decimal prediction. Exit status must be 0. One
+round-trip decimal formatting), and the auditor expects exactly n lines on
+stdout, each a single decimal prediction. Exit status must be 0. One
 process invocation per batch; no session state is kept between calls.
 """
 
 from __future__ import annotations
 
-import io
+import os
+import signal
 import subprocess
+import tempfile
+import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
@@ -32,37 +35,66 @@ REPEATABILITY_TOL = 1e-12
 
 
 class ModelHandle(ABC):
-    """A queryable black box: n rows in, n finite predictions out."""
+    """A queryable black box: n rows in, n finite predictions out.
+
+    A query runs in three steps, so that a caller can encode its next query
+    while the model answers this one: ``prepare`` checks the column names
+    and encodes the query, ``launch`` starts the model on it, and
+    ``collect`` waits for the reply and validates it. ``abort`` stops a
+    launched query whose reply is no longer wanted.
+    """
 
     feature_names: tuple[str, ...] | None = None
 
     def predict_batch(self, X: FeatureMatrix) -> np.ndarray:
         """Query the model once and validate the reply."""
+        return self.collect(self.launch(self.prepare(X)))
+
+    def prepare(self, X: FeatureMatrix):
+        """Check the column names and encode the query for ``launch``."""
         if self.feature_names is not None and X.names != self.feature_names:
             raise AdapterError(
                 f"model expects columns {list(self.feature_names)}, "
                 f"got {list(X.names)}"
             )
-        pred = np.asarray(self._predict(X), dtype=np.float64).reshape(-1)
-        if pred.shape[0] != X.n:
-            raise RowCountMismatchError(
-                f"model returned {pred.shape[0]} predictions for {X.n} rows"
-            )
-        bad = np.flatnonzero(~np.isfinite(pred))
-        if bad.size:
-            raise NonFinitePredictionError(
-                f"non-finite prediction at row {int(bad[0])}", row=int(bad[0])
-            )
-        return pred
+        return self._encode(X)
+
+    def _encode(self, X: FeatureMatrix):
+        """The query in the form ``launch`` takes; by default the matrix."""
+        return X
 
     @abstractmethod
-    def _predict(self, X: FeatureMatrix) -> np.ndarray: ...
+    def launch(self, encoded):
+        """Start the model on a prepared query; returns what ``collect``
+        and ``abort`` take."""
+
+    @abstractmethod
+    def collect(self, running) -> np.ndarray:
+        """Wait for a launched query's reply and validate it."""
+
+    def abort(self, running) -> None:
+        """Stop a launched query without collecting it."""
+
+
+def _validated(pred, n: int) -> np.ndarray:
+    pred = np.asarray(pred, dtype=np.float64).reshape(-1)
+    if pred.shape[0] != n:
+        raise RowCountMismatchError(
+            f"model returned {pred.shape[0]} predictions for {n} rows"
+        )
+    bad = np.flatnonzero(~np.isfinite(pred))
+    if bad.size:
+        raise NonFinitePredictionError(
+            f"non-finite prediction at row {int(bad[0])}", row=int(bad[0])
+        )
+    return pred
 
 
 class InProcessModel(ModelHandle):
     """Wraps a plain callable mapping an n x k float array to n predictions.
 
-    The callable receives a fresh, writable copy of the query matrix.
+    The callable receives a fresh, writable copy of the query matrix. It
+    answers on the caller's thread, in ``launch``.
     """
 
     def __init__(
@@ -76,6 +108,12 @@ class InProcessModel(ModelHandle):
 
     def _predict(self, X: FeatureMatrix) -> np.ndarray:
         return self.fn(X.as_array())
+
+    def launch(self, encoded: FeatureMatrix) -> tuple[np.ndarray, int]:
+        return self._predict(encoded), encoded.n
+
+    def collect(self, running: tuple[np.ndarray, int]) -> np.ndarray:
+        return _validated(*running)
 
 
 @dataclass(frozen=True)
@@ -94,15 +132,22 @@ class SubprocessSpec:
         object.__setattr__(self, "command", tuple(self.command))
 
 
-def format_matrix_csv(X: FeatureMatrix) -> str:
-    """CSV payload sent over the wire. repr() formatting guarantees the
-    decimal text parses back to the identical float64."""
-    buf = io.StringIO()
-    buf.write(",".join(X.names) + "\n")
-    data = X.as_array()
-    for row in data:
-        buf.write(",".join(repr(float(v)) for v in row) + "\n")
-    return buf.getvalue()
+# Rows encoded per write: enough to amortize the per-call overhead, few
+# enough that a block's text stays small next to the matrix.
+_CSV_BLOCK_ROWS = 1024
+
+
+def format_matrix_csv(names: Sequence[str], data: np.ndarray, out: TextIO) -> None:
+    """Write a header row and one CSV line per row of ``data`` to ``out``.
+
+    repr() formatting guarantees the decimal text parses back to the
+    identical float64. This is both the wire payload and the ``save_csv``
+    file format.
+    """
+    out.write(",".join(names) + "\n")
+    for start in range(0, data.shape[0], _CSV_BLOCK_ROWS):
+        rows = data[start : start + _CSV_BLOCK_ROWS].tolist()
+        out.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
 
 
 def parse_prediction_lines(text: str, expected_rows: int) -> np.ndarray:
@@ -126,8 +171,30 @@ def parse_prediction_lines(text: str, expected_rows: int) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class _Payload:
+    """An encoded query: its CSV text in an unnamed file, at offset 0."""
+
+    file: TextIO
+    rows: int
+
+
+@dataclass(frozen=True)
+class _Running:
+    """A launched model process and when its time budget runs out."""
+
+    proc: subprocess.Popen
+    deadline: float
+    rows: int
+
+
 class SubprocessModel(ModelHandle):
-    """External model spoken to over the stdin/stdout CSV protocol."""
+    """External model spoken to over the stdin/stdout CSV protocol.
+
+    The payload goes to an unnamed temporary file that becomes the model's
+    stdin. The model starts in a new session, and a timeout kills that
+    whole process group.
+    """
 
     def __init__(
         self,
@@ -138,33 +205,68 @@ class SubprocessModel(ModelHandle):
         self.spec = spec
         self.feature_names = tuple(feature_names) if feature_names is not None else None
 
-    def _predict(self, X: FeatureMatrix) -> np.ndarray:
+    def _encode(self, X: FeatureMatrix) -> _Payload:
         if X.n > self.spec.max_batch_rows:
             raise AdapterError(
                 f"batch of {X.n} rows exceeds cap {self.spec.max_batch_rows}"
             )
-        payload = format_matrix_csv(X)
+        file = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
+        try:
+            format_matrix_csv(X.names, X.data, file)
+            file.seek(0)
+        except BaseException:
+            file.close()
+            raise
+        return _Payload(file, X.n)
+
+    def launch(self, encoded: _Payload) -> _Running:
+        cmd = list(self.spec.command)
+        with encoded.file:
+            try:
+                proc = subprocess.Popen(
+                    cmd,
+                    stdin=encoded.file,
+                    stdout=subprocess.PIPE,
+                    stderr=subprocess.PIPE,
+                    start_new_session=True,
+                )
+            except OSError as exc:
+                raise AdapterError(f"cannot run model command {cmd}: {exc}") from exc
+        return _Running(proc, time.monotonic() + self.spec.timeout, encoded.rows)
+
+    def collect(self, running: _Running) -> np.ndarray:
         cmd = list(self.spec.command)
         try:
-            proc = subprocess.run(
-                cmd,
-                input=payload.encode("utf-8"),
-                capture_output=True,
-                timeout=self.spec.timeout,
+            stdout, stderr = running.proc.communicate(
+                timeout=max(0.0, running.deadline - time.monotonic())
             )
-        except subprocess.TimeoutExpired:
-            raise ModelTimeoutError(
-                f"model command {cmd} exceeded timeout of {self.spec.timeout}s"
-            ) from None
-        except OSError as exc:
-            raise AdapterError(f"cannot run model command {cmd}: {exc}") from exc
-        if proc.returncode != 0:
-            stderr = proc.stderr.decode("utf-8", errors="replace").strip()
+        except BaseException as exc:
+            self.abort(running)
+            if isinstance(exc, subprocess.TimeoutExpired):
+                raise ModelTimeoutError(
+                    f"model command {cmd} exceeded timeout of {self.spec.timeout}s"
+                ) from None
+            raise
+        if running.proc.returncode != 0:
+            stderr = stderr.decode("utf-8", errors="replace").strip()
             raise ModelExitError(
-                f"model command {cmd} exited with status {proc.returncode}"
+                f"model command {cmd} exited with status {running.proc.returncode}"
                 + (f": {stderr[:500]}" if stderr else "")
             )
-        return parse_prediction_lines(proc.stdout.decode("utf-8"), X.n)
+        pred = parse_prediction_lines(stdout.decode("utf-8"), running.rows)
+        return _validated(pred, running.rows)
+
+    def abort(self, running: _Running) -> None:
+        """Kill the model's whole process group, then reap the model."""
+        proc = running.proc
+        if proc.returncode is None:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        proc.stdout.close()
+        proc.stderr.close()
+        proc.wait()
 
 
 def capture_outputs(

@@ -328,10 +328,10 @@ def cmd_validate(args, parser: argparse.ArgumentParser) -> int:
         _target_policy,
     ) = _prepare_audit_inputs(args, parser)
 
-    # Both routes score against the same reference target.
-    y_ref = y if y is not None else handle.predict_batch(X)
-    report = rank_all(handle, X, cfg, y=y_ref)
-    loco = loco_refit_importances(X, y_ref, lam=args.ridge_lambda)
+    # Both routes score against the same reference target: the recorded
+    # column, or the output that rank_all captures with its first query.
+    report = rank_all(handle, X, cfg, y=y)
+    loco = loco_refit_importances(X, report.target, lam=args.ridge_lambda)
 
     names = [e.name for e in report.entries if e.error is None]
     audit_deltas = [report.entry(n).raw_delta for n in names]

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .adapters import format_matrix_csv
 from .errors import DataError, SyntheticSpecError
 from .linalg import FeatureMatrix
 
@@ -96,6 +97,49 @@ def _parse_numeric(cell: str, *, row: int, column: str) -> float:
     return value
 
 
+def _no_value(cell: str) -> float:
+    return 0.0
+
+
+def _parse_numeric_bulk(
+    path: Path, header_lines: int, numeric: list[int], width: int
+) -> np.ndarray | None:
+    """Every data row as float64 in one ``np.loadtxt`` pass, or None when
+    the file must take the per-cell parse, which names the bad row and
+    column. Only the ``numeric`` columns are parsed; the others read as 0.
+
+    ``loadtxt`` skips blank lines, accepts nan and inf and rejects the
+    underscores that float() allows, so a blank line, a raise, a
+    non-finite value or a row count other than the line count sends the
+    file down the per-cell path, which keeps today's behaviour for each.
+    """
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            lines = 0
+            for line in fh:
+                if not line.strip():
+                    return None
+                lines += 1
+        if lines == header_lines:
+            return None
+        data = np.loadtxt(
+            path,
+            dtype=np.float64,
+            delimiter=",",
+            comments=None,
+            quotechar='"',
+            skiprows=header_lines,
+            ndmin=2,
+            encoding="utf-8",
+            converters={j: _no_value for j in range(width) if j not in numeric},
+        )
+    except ValueError:
+        return None
+    if data.shape != (lines - header_lines, width) or not np.isfinite(data).all():
+        return None
+    return data
+
+
 def load_csv(
     path: str | Path, schema: DatasetSchema | None = None
 ) -> tuple[FeatureMatrix, np.ndarray | None]:
@@ -120,12 +164,28 @@ def load_csv(
         if len(set(header)) != len(header):
             dupes = sorted({h for h in header if header.count(h) > 1})
             raise DataError(f"duplicate header names: {dupes}")
-        rows = list(reader)
-    if not rows:
+        specs = [schema.spec_for(h) for h in header]
+        numeric = [
+            j
+            for j, spec in enumerate(specs)
+            if spec.role == "target" or (spec.role == "feature" and spec.kind == "numeric")
+        ]
+        bulk = (
+            _parse_numeric_bulk(path, reader.line_num, numeric, len(header))
+            if numeric
+            else None
+        )
+        # Categorical cells, and every cell when the bulk parse gave up,
+        # go through the csv module.
+        text_needed = bulk is None or any(
+            s.role == "feature" and s.kind == "categorical" for s in specs
+        )
+        rows = list(reader) if text_needed else None
+    if rows is not None and not rows:
         raise DataError(f"{path} has a header but no data rows")
 
     raw_columns: dict[str, list[str]] = {h: [] for h in header}
-    for r, row in enumerate(rows, start=1):
+    for r, row in enumerate(rows or (), start=1):
         if len(row) != len(header):
             raise DataError(
                 f"row {r} has {len(row)} cells, expected {len(header)}", row=r
@@ -137,11 +197,13 @@ def load_csv(
     columns: list[np.ndarray] = []
     target: np.ndarray | None = None
     target_name = schema.target_column()
-    for h in header:
-        spec = schema.spec_for(h)
+    for j, (h, spec) in enumerate(zip(header, specs)):
         if spec.role == "ignore":
             continue
         if spec.role == "target" or h == target_name:
+            if bulk is not None:
+                target = bulk[:, j].copy()
+                continue
             values = [
                 _parse_numeric(c, row=r, column=h)
                 for r, c in enumerate(raw_columns[h], start=1)
@@ -162,6 +224,9 @@ def load_csv(
                 columns.append(
                     np.asarray([1.0 if c == level else 0.0 for c in cells], dtype=np.float64)
                 )
+        elif bulk is not None:
+            names.append(h)
+            columns.append(bulk[:, j])
         else:
             values = [
                 _parse_numeric(c, row=r, column=h)
@@ -189,7 +254,7 @@ def save_csv(
     precision, matching what load_csv expects back."""
     path = Path(path)
     names = list(X.names)
-    data = X.as_array()
+    data = X.data
     if target is not None:
         if target.shape[0] != X.n:
             raise DataError(
@@ -200,9 +265,7 @@ def save_csv(
         names.append(target_name)
         data = np.column_stack([data, np.asarray(target, dtype=np.float64)])
     with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in data:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        format_matrix_csv(names, data, fh)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ and records |baseline - new| as that feature's dependence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -120,13 +121,15 @@ class FeatureResult:
 class DependenceReport:
     """Baseline plus per-feature dependence, sorted by descending raw delta
     (ties by name, errored entries last). The largest normalized score is
-    exactly 100 unless every delta is zero."""
+    exactly 100 unless every delta is zero. ``target`` is the vector every
+    query was scored against: the recorded target, or the captured output."""
 
     baseline: float
     metric_kind: str
     entries: tuple[FeatureResult, ...]
     config: AuditConfig
     warnings: tuple[str, ...] = ()
+    target: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def entry(self, name: str) -> FeatureResult:
         for e in self.entries:
@@ -176,14 +179,34 @@ def _assemble_query(
     return FeatureMatrix._adopt(raw.names, query)
 
 
-def _audit_prepared(
+@dataclass(frozen=True)
+class _InFlight:
+    """A feature's launched query, waiting to be collected and scored."""
+
+    name: str
+    dropped_count: int
+    running: object
+
+
+def _named(exc: AdapterError, current: str) -> AdapterError:
+    return type(exc)(f"feature '{current}': {exc}", row=exc.row)
+
+
+def _launch_query(
     model: ModelHandle,
     prepared: _Prepared,
-    y: np.ndarray,
     current: str,
     cfg: AuditConfig,
-    baseline: float,
-) -> AuditOutcome:
+    finish_previous: Callable[[], None],
+) -> _InFlight:
+    """Build and prepare the query that removes ``current``, call
+    ``finish_previous``, then launch the query.
+
+    A subprocess model answers the previous query while this one is built
+    and encoded. The candidates, basis and projection stay alive until the
+    launch, so an in-process model, which answers there, allocates in the
+    same order as a build-then-predict loop.
+    """
     idx = prepared.audit.index(current)
     if np.ptp(prepared.audit.data[:, idx]) == 0.0:
         raise DegenerateFeatureError(
@@ -211,15 +234,27 @@ def _audit_prepared(
 
     query = _assemble_query(prepared, idx, projected, cfg)
     try:
-        pred = model.predict_batch(query)
+        encoded = model.prepare(query)
+        finish_previous()
+        return _InFlight(current, dropped, model.launch(encoded))
     except AdapterError as exc:
-        raise type(exc)(f"feature '{current}': {exc}", row=exc.row) from exc
+        raise _named(exc, current) from exc
+
+
+def _score(
+    model: ModelHandle, flight: _InFlight, y: np.ndarray, cfg: AuditConfig, baseline: float
+) -> AuditOutcome:
+    """Collect a launched query and measure how far the metric moved."""
+    try:
+        pred = model.collect(flight.running)
+    except AdapterError as exc:
+        raise _named(exc, flight.name) from exc
     b_new = compute_metric(pred, y, cfg.metric)
     return AuditOutcome(
-        name=current,
+        name=flight.name,
         raw_delta=abs(baseline - b_new),
         b_new=b_new,
-        dropped_count=dropped,
+        dropped_count=flight.dropped_count,
     )
 
 
@@ -237,7 +272,8 @@ def audit_feature(
     raised with the feature name attached.
     """
     y = np.asarray(y, dtype=np.float64).reshape(-1)
-    return _audit_prepared(model, _prepare(X, cfg), y, current, cfg, baseline)
+    flight = _launch_query(model, _prepare(X, cfg), current, cfg, lambda: None)
+    return _score(model, flight, y, cfg, baseline)
 
 
 def _normalize_entries(
@@ -287,15 +323,32 @@ def rank_all(
     baseline = compute_metric(captured, target, cfg.metric)
     prepared = _prepare(X, cfg)
 
+    # One query of lookahead: feature j+1's query is built and encoded
+    # while the model answers feature j's, and launched only once j's reply
+    # is collected, so one model runs at a time.
     outcomes: list[AuditOutcome] = []
     errors: dict[str, str] = {}
-    for name in X.names:
-        try:
-            outcomes.append(
-                _audit_prepared(model, prepared, target, name, cfg, baseline)
-            )
-        except (DegenerateFeatureError, DegenerateSubspaceError, AdapterError) as exc:
-            errors[name] = str(exc)
+    flight: _InFlight | None = None
+
+    def finish_previous() -> None:
+        nonlocal flight
+        if flight is not None:
+            try:
+                outcomes.append(_score(model, flight, target, cfg, baseline))
+            except AdapterError as exc:
+                errors[flight.name] = str(exc)
+            flight = None
+
+    try:
+        for name in X.names:
+            try:
+                flight = _launch_query(model, prepared, name, cfg, finish_previous)
+            except (DegenerateFeatureError, DegenerateSubspaceError, AdapterError) as exc:
+                errors[name] = str(exc)
+        finish_previous()
+    finally:
+        if flight is not None:
+            model.abort(flight.running)
     if not outcomes:
         raise AuditFailedError(
             f"all {X.k} feature audits failed: {sorted(errors.values())}"
@@ -307,4 +360,5 @@ def rank_all(
         entries=_normalize_entries(outcomes, errors),
         config=cfg,
         warnings=warnings,
+        target=target,
     )

@@ -1,4 +1,5 @@
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -20,3 +21,24 @@ def fixtures_dir():
 def fixture_command(script: str) -> str:
     """Command string for a bundled subprocess model."""
     return f"{sys.executable} {FIXTURES / script}"
+
+
+def process_gone(pid: int, within: float = 5.0) -> bool:
+    """Whether process ``pid`` has exited (a zombie counts) within
+    ``within`` seconds, judged from /proc."""
+    deadline = time.monotonic() + within
+    while True:
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text()
+        except FileNotFoundError:
+            return True
+        if stat.rpartition(")")[2].split()[0] == "Z":
+            return True
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.02)
+
+
+needs_proc = pytest.mark.skipif(
+    not Path("/proc/self/stat").exists(), reason="reads process states from /proc"
+)

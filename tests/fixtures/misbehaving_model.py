@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Fixture model that violates the wire protocol on demand.
 
-Usage: misbehaving_model.py MODE
+Usage: misbehaving_model.py MODE [COLUMN]
   short     emit n-1 prediction lines
   malformed emit a non-numeric line at row 1
   nonfinite emit NaN at row 0
   fail      exit 3 after reading input
   hang      read input then sleep far past any test timeout
+  constant  exit 1 if COLUMN is constant, else emit the row sums
+  stall     sleep far past any test timeout if COLUMN is constant, else
+            emit the row sums
 """
 import sys
 import time
@@ -33,6 +36,15 @@ def main():
         sys.exit(3)
     elif mode == "hang":
         time.sleep(60)
+    elif mode in ("constant", "stall"):
+        rows = [[float(c) for c in row.split(",")] for row in lines[1:] if row.strip()]
+        j = lines[0].split(",").index(sys.argv[2])
+        if len({row[j] for row in rows}) == 1:
+            if mode == "stall":
+                time.sleep(60)
+            sys.exit(f"column {sys.argv[2]} is constant")
+        for row in rows:
+            print(repr(sum(row)))
     else:
         sys.exit(f"unknown mode {mode!r}")
 

@@ -1,7 +1,13 @@
+import io
+import os
+import shlex
+import signal
+import sys
+
 import numpy as np
 import pytest
 
-from conftest import fixture_command
+from conftest import fixture_command, needs_proc, process_gone
 from oproj.adapters import (
     InProcessModel,
     SubprocessModel,
@@ -67,13 +73,25 @@ class TestWireFormat:
     def test_round_trip_is_exact(self, rng):
         scales = 10.0 ** rng.integers(-8, 8, (25, 4)).astype(float)
         m = matrix(rng.standard_normal((25, 4)) * scales)
-        text = format_matrix_csv(m)
+        buf = io.StringIO()
+        format_matrix_csv(m.names, m.data, buf)
+        text = buf.getvalue()
         lines = text.splitlines()
         assert lines[0] == ",".join(m.names)
         parsed = np.array(
             [[float(c) for c in line.split(",")] for line in lines[1:]]
         )
         np.testing.assert_array_equal(parsed, m.as_array())
+
+    def test_matches_per_value_repr_across_blocks(self, rng):
+        # More rows than one encoded block, in column-major storage.
+        m = matrix(rng.standard_normal((2100, 3)) * 1e3)
+        buf = io.StringIO()
+        format_matrix_csv(m.names, m.data, buf)
+        reference = "".join(
+            ",".join(repr(float(v)) for v in row) + "\n" for row in m.as_array()
+        )
+        assert buf.getvalue() == "x1,x2,x3\n" + reference
 
     def test_parse_prediction_lines(self):
         out = parse_prediction_lines("1.5\n-2.25\n3e-4\n", 3)
@@ -137,6 +155,21 @@ class TestSubprocessModel:
         h = subprocess_model("misbehaving_model.py", "hang", timeout=1.0)
         with pytest.raises(ModelTimeoutError):
             h.predict_batch(m)
+
+    @needs_proc
+    def test_timeout_kills_the_whole_process_group(self, tmp_path):
+        pidfile = tmp_path / "grandchild.pid"
+        hang = f"{shlex.quote(sys.executable)} -c 'import time; time.sleep(60)'"
+        script = f"{hang} & echo $! > {shlex.quote(str(pidfile))}; wait"
+        h = SubprocessModel(SubprocessSpec(("sh", "-c", script), timeout=1.0))
+        with pytest.raises(ModelTimeoutError):
+            h.predict_batch(matrix([[1.0], [2.0]]))
+        pid = int(pidfile.read_text())
+        try:
+            assert process_gone(pid), "the model's child outlived the timeout"
+        finally:
+            if not process_gone(pid, within=0.0):
+                os.kill(pid, signal.SIGKILL)
 
     def test_missing_executable(self):
         m = matrix([[1.0], [2.0]])

@@ -124,6 +124,26 @@ class TestAudit:
         assert doc["config"]["seed"] == 7
         assert doc["config"]["target"] == "column:target"
 
+    def test_one_model_process_at_a_time(self, tmp_path):
+        data = synth(tmp_path)
+        lock, count = tmp_path / "model.lock", tmp_path / "count.txt"
+        model = f"{fixture_command('exclusive_model.py')} {lock} {count}"
+        out = tmp_path / "out"
+        code = main(
+            [
+                "audit",
+                "--data", str(data),
+                "--model", model,
+                "--target", "column:target",
+                "--out", str(out),
+            ]
+        )  # fmt: skip
+        assert code == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert [e["error"] for e in doc["entries"]] == [None] * 4
+        assert len(count.read_text().splitlines()) == 5
+        assert not lock.exists()
+
     def test_report_identical_across_blas_thread_counts(self, tmp_path):
         coefficients = ",".join(str(c) for c in range(12, 0, -1))
         data = synth(tmp_path, f"n=3000\ncoefficients={coefficients}\nnoise_sd=0.1\nseed=7\n")
@@ -379,6 +399,25 @@ class TestValidate:
         assert code == 0
         out = capsys.readouterr().out
         assert "spearman=1" in out
+
+    def test_captured_target_makes_k_plus_1_queries(self, tmp_path, monkeypatch, capsys):
+        data = synth(tmp_path)
+        schema = tmp_path / "schema.txt"
+        schema.write_text("target=ignore\n")
+        count = tmp_path / "count.txt"
+        monkeypatch.setenv("OPROJ_FIXTURE_COUNT", str(count))
+        code = main(
+            [
+                "validate",
+                "--data", str(data),
+                "--schema", str(schema),
+                "--model", LINEAR_MODEL,
+                "--target", "captured",
+            ]
+        )  # fmt: skip
+        assert code == 0
+        assert len(count.read_text().splitlines()) == 5
+        assert "spearman=" in capsys.readouterr().out
 
     def test_pure_noise_target_reported_without_judgment(self, tmp_path, capsys):
         data = synth(tmp_path, "n=200\ncoefficients=0,0,0\nnoise_sd=1.0\nseed=2\n")

@@ -1,6 +1,12 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oproj.dataio as dataio
 from oproj.dataio import (
     AffineMap,
     ColumnSpec,
@@ -92,6 +98,104 @@ class TestLoadCsv:
         p.write_text("a,b\n1,2\n3\n")
         with pytest.raises(DataError, match="row 2"):
             load_csv(p)
+
+
+def _load_outcome(path, schema):
+    """What load_csv does with a file: its arrays, bit for bit, or its error."""
+    try:
+        X, y = load_csv(path, schema)
+    except DataError as exc:
+        return ("error", str(exc), exc.row, exc.column)
+    except Exception as exc:
+        return ("error", type(exc).__name__, str(exc))
+    target = None if y is None else y.tobytes()
+    return ("ok", X.names, X.data.shape, X.data.tobytes(order="F"), target)
+
+
+def _per_cell_outcome(path, schema):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataio, "_parse_numeric_bulk", lambda *args: None)
+        return _load_outcome(path, schema)
+
+
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+)
+ODD_CELLS = st.sampled_from(
+    ["nan", "inf", "-inf", "1_0", "1e400", "-0.0", "+.5", "5.", " 2 ", "\t3",
+     '"1.5"', '"1,5"', ' "2"', '"2" ', '"2"x', '""', "", "#3", "0x10", "1d3",
+     "a", "\u0661\u0662", '"1\n2"', "3,4"]
+)  # fmt: skip
+CELLS = st.one_of(NUMBERS, NUMBERS, NUMBERS, NUMBERS, ODD_CELLS)
+ROLES = st.sampled_from(["feature", "feature", "target", "ignore", "categorical"])
+
+
+@st.composite
+def csv_files(draw):
+    k = draw(st.integers(1, 3))
+    header = [f"c{j}" for j in range(k)]
+    roles = draw(st.lists(ROLES, min_size=k, max_size=k))
+    if roles.count("target") > 1:
+        roles = ["feature" if r == "target" else r for r in roles]
+    rows = draw(st.lists(st.lists(CELLS, min_size=k, max_size=k), min_size=2, max_size=6))
+    if draw(st.sampled_from([False] * 4 + [True])):
+        ragged = draw(st.lists(CELLS, min_size=1, max_size=k + 1))
+        rows.insert(draw(st.integers(0, len(rows))), ragged)
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    if draw(st.sampled_from([False] * 5 + [True])):
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines) + (newline if draw(st.booleans()) else "")
+    schema = DatasetSchema(
+        {
+            h: ColumnSpec(role="feature", kind="categorical")
+            if r == "categorical"
+            else ColumnSpec(role=r)
+            for h, r in zip(header, roles)
+        }
+    )
+    return text, schema
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_files())
+def test_bulk_load_matches_per_cell_hypothesis(case):
+    text, schema = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _load_outcome(path, schema) == _per_cell_outcome(path, schema)
+
+
+class TestBulkLoad:
+    def test_quoted_crlf_file_parses_in_bulk(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b'a,b,t\r\n"1.5",2,3\r\n-0.0,"5e-324",6\r\n')
+        assert dataio._parse_numeric_bulk(p, 1, [0, 1, 2], 3) is not None
+        X, y = load_csv(p, DatasetSchema({"t": ColumnSpec(role="target")}))
+        assert X.data.tobytes(order="F") == np.array(
+            [[1.5, 2.0], [-0.0, 5e-324]], order="F"
+        ).tobytes(order="F")
+        np.testing.assert_array_equal(y, [3.0, 6.0])
+
+    def test_layout_and_values_match_per_cell(self, tmp_path, rng):
+        m = FeatureMatrix.from_arrays(["a", "b", "c"], rng.standard_normal((40, 3)))
+        p = tmp_path / "d.csv"
+        save_csv(m, p, target=rng.standard_normal(40))
+        schema = DatasetSchema({"target": ColumnSpec(role="target")})
+        X, _ = load_csv(p, schema)
+        assert X.data.flags.f_contiguous and not X.data.flags.writeable
+        assert _load_outcome(p, schema) == _per_cell_outcome(p, schema)
+
+    @pytest.mark.parametrize(
+        "body",
+        ["1,2\n\n3,4\n", "1,nan\n3,4\n", "1,1_0\n3,4\n", "1,2\n3,4,\n"],
+    )
+    def test_bulk_declines_what_it_would_misread(self, tmp_path, body):
+        p = tmp_path / "d.csv"
+        p.write_text("a,b\n" + body)
+        assert dataio._parse_numeric_bulk(p, 1, [0, 1], 2) is None
 
 
 class TestSaveCsv:

@@ -1,9 +1,15 @@
+import shlex
+import sys
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oproj.adapters import InProcessModel
+import oproj.ranking as ranking
+from conftest import FIXTURES, fixture_command, needs_proc, process_gone
+from oproj.adapters import InProcessModel, SubprocessModel, SubprocessSpec
 from oproj.dataio import standardize
 from oproj.errors import (
     AdapterError,
@@ -465,3 +471,58 @@ class TestRankAll:
 
         for e in report.entries:
             assert e.raw_delta == raw_deltas[e.name]  # bitwise equality
+
+
+class TestLookahead:
+    """rank_all encodes feature j+1's query while the model answers j's."""
+
+    def test_failing_feature_flagged_and_rest_match_sequential(self, rng):
+        m = matrix(rng.standard_normal((50, 4)))
+        command = (*fixture_command("misbehaving_model.py").split(), "constant", "x3")
+        h = SubprocessModel(SubprocessSpec(command))
+        cfg = AuditConfig()
+        report = rank_all(h, m, cfg)
+
+        error = report.entry("x3").error
+        assert error is not None and "feature 'x3'" in error and "status 1" in error
+        target = h.predict_batch(m)
+        baseline = compute_metric(target, target, cfg.metric)
+        expected = {
+            name: audit_feature(h, m, target, name, cfg, baseline)
+            for name in ("x1", "x2", "x4")
+        }
+        top = max(o.raw_delta for o in expected.values())
+        for name, outcome in expected.items():
+            entry = report.entry(name)
+            assert entry.error is None
+            assert entry.raw_delta == outcome.raw_delta
+            assert entry.dropped_count == outcome.dropped_count
+            assert entry.normalized == 100.0 * (outcome.raw_delta / top)
+
+    @needs_proc
+    def test_exception_kills_the_model_in_flight(self, tmp_path, monkeypatch, rng):
+        pidfile = tmp_path / "pids"
+        fixture = str(FIXTURES / "misbehaving_model.py")
+        model = shlex.join([sys.executable, fixture, "stall", "x1"])
+        script = f"echo $$ >> {shlex.quote(str(pidfile))}; exec {model}"
+        h = SubprocessModel(SubprocessSpec(("sh", "-c", script), timeout=60.0))
+        assemble = ranking._assemble_query
+
+        def failing_second_build(prepared, idx, projected, cfg):
+            if idx == 1:
+                # Let x1's model start before the build fails.
+                deadline = time.monotonic() + 10.0
+                while len(pidfile.read_text().split()) < 2 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                raise RuntimeError("build failed")
+            return assemble(prepared, idx, projected, cfg)
+
+        monkeypatch.setattr(ranking, "_assemble_query", failing_second_build)
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="build failed"):
+            rank_all(h, matrix(rng.standard_normal((20, 3))), AuditConfig())
+        # x1's query stalls; it was in flight when x2's build raised.
+        assert time.monotonic() - started < 30.0
+        pids = [int(p) for p in pidfile.read_text().split()]
+        assert len(pids) == 2
+        assert all(process_gone(pid) for pid in pids)
