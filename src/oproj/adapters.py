@@ -16,7 +16,7 @@ import tempfile
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Sequence, TextIO
+from typing import BinaryIO, Callable, Sequence, TextIO
 
 import numpy as np
 
@@ -181,9 +181,12 @@ class _Payload:
 
 @dataclass(frozen=True)
 class _Running:
-    """A launched model process and when its time budget runs out."""
+    """A launched model process, the unnamed files its stdout and stderr
+    go to, and when its time budget runs out."""
 
     proc: subprocess.Popen
+    stdout: BinaryIO
+    stderr: BinaryIO
     deadline: float
     rows: int
 
@@ -192,8 +195,11 @@ class SubprocessModel(ModelHandle):
     """External model spoken to over the stdin/stdout CSV protocol.
 
     The payload goes to an unnamed temporary file that becomes the model's
-    stdin. The model starts in a new session, and a timeout kills that
-    whole process group.
+    stdin, and its stdout and stderr go to unnamed files too, so the model
+    never waits on the auditor to drain a pipe. The model starts in a new
+    session; it times out only if it is still running when its budget,
+    counted from launch, is spent, and a timeout kills the whole process
+    group.
     """
 
     def __init__(
@@ -222,24 +228,29 @@ class SubprocessModel(ModelHandle):
     def launch(self, encoded: _Payload) -> _Running:
         cmd = list(self.spec.command)
         with encoded.file:
+            stdout, stderr = tempfile.TemporaryFile(), tempfile.TemporaryFile()
             try:
                 proc = subprocess.Popen(
                     cmd,
                     stdin=encoded.file,
-                    stdout=subprocess.PIPE,
-                    stderr=subprocess.PIPE,
+                    stdout=stdout,
+                    stderr=stderr,
                     start_new_session=True,
                 )
             except OSError as exc:
+                stdout.close()
+                stderr.close()
                 raise AdapterError(f"cannot run model command {cmd}: {exc}") from exc
-        return _Running(proc, time.monotonic() + self.spec.timeout, encoded.rows)
+        return _Running(
+            proc, stdout, stderr, time.monotonic() + self.spec.timeout, encoded.rows
+        )
 
     def collect(self, running: _Running) -> np.ndarray:
         cmd = list(self.spec.command)
+        proc = running.proc
         try:
-            stdout, stderr = running.proc.communicate(
-                timeout=max(0.0, running.deadline - time.monotonic())
-            )
+            # Returns at once for a model that has already exited.
+            proc.wait(timeout=max(0.0, running.deadline - time.monotonic()))
         except BaseException as exc:
             self.abort(running)
             if isinstance(exc, subprocess.TimeoutExpired):
@@ -247,13 +258,17 @@ class SubprocessModel(ModelHandle):
                     f"model command {cmd} exceeded timeout of {self.spec.timeout}s"
                 ) from None
             raise
-        if running.proc.returncode != 0:
-            stderr = stderr.decode("utf-8", errors="replace").strip()
-            raise ModelExitError(
-                f"model command {cmd} exited with status {running.proc.returncode}"
-                + (f": {stderr[:500]}" if stderr else "")
-            )
-        pred = parse_prediction_lines(stdout.decode("utf-8"), running.rows)
+        with running.stdout, running.stderr:
+            if proc.returncode != 0:
+                running.stderr.seek(0)
+                stderr = running.stderr.read().decode("utf-8", errors="replace").strip()
+                raise ModelExitError(
+                    f"model command {cmd} exited with status {proc.returncode}"
+                    + (f": {stderr[:500]}" if stderr else "")
+                )
+            running.stdout.seek(0)
+            text = running.stdout.read().decode("utf-8")
+        pred = parse_prediction_lines(text, running.rows)
         return _validated(pred, running.rows)
 
     def abort(self, running: _Running) -> None:
@@ -264,9 +279,9 @@ class SubprocessModel(ModelHandle):
                 os.killpg(proc.pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
-        proc.stdout.close()
-        proc.stderr.close()
         proc.wait()
+        running.stdout.close()
+        running.stderr.close()
 
 
 def capture_outputs(

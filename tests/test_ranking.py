@@ -526,3 +526,20 @@ class TestLookahead:
         pids = [int(p) for p in pidfile.read_text().split()]
         assert len(pids) == 2
         assert all(process_gone(pid) for pid in pids)
+
+    def test_model_done_before_a_slow_build_is_scored(self, monkeypatch, rng):
+        # x1's model answers at once, but x2's build outlasts the time
+        # budget. x1 is collected after its deadline and must still score;
+        # its reply is larger than a pipe buffer.
+        command = tuple(fixture_command("linear_model.py").split())
+        h = SubprocessModel(SubprocessSpec(command, timeout=2.0))
+        assemble = ranking._assemble_query
+
+        def slow_second_build(prepared, idx, projected, cfg):
+            if idx == 1:
+                time.sleep(2.5)
+            return assemble(prepared, idx, projected, cfg)
+
+        monkeypatch.setattr(ranking, "_assemble_query", slow_second_build)
+        report = rank_all(h, matrix(rng.standard_normal((4000, 3))), AuditConfig())
+        assert [e.error for e in report.entries] == [None, None, None]
