@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import BinaryIO, Callable, Sequence, TextIO
 
 import numpy as np
+import orjson
 
 from .errors import (
     AdapterError,
@@ -140,14 +141,29 @@ _CSV_BLOCK_ROWS = 1024
 def format_matrix_csv(names: Sequence[str], data: np.ndarray, out: TextIO) -> None:
     """Write a header row and one CSV line per row of ``data`` to ``out``.
 
-    repr() formatting guarantees the decimal text parses back to the
-    identical float64. This is both the wire payload and the ``save_csv``
-    file format.
+    Every value is written as ``repr`` writes it, the shortest decimal that
+    parses back to the identical float64. This is both the wire payload and
+    the ``save_csv`` file format.
+
+    orjson writes each block of rows with the same shortest digits, about
+    ten times faster than ``repr``, but spells three kinds of value its own
+    way: nonzero |x| < 1e-4 (``0.00001`` for ``1e-05``), |x| >= 1e16
+    (``1e16`` for ``1e+16``) and nan or inf (``null``). A row holding any of
+    them is rewritten with ``repr``, so the text is ``repr``'s byte for byte.
     """
     out.write(",".join(names) + "\n")
     for start in range(0, data.shape[0], _CSV_BLOCK_ROWS):
-        rows = data[start : start + _CSV_BLOCK_ROWS].tolist()
-        out.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
+        block = np.ascontiguousarray(
+            data[start : start + _CSV_BLOCK_ROWS], dtype=np.float64
+        )
+        text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
+        lines = text[2:-2].decode("ascii").split("],[")
+        mag = np.abs(block)
+        # ~(mag < 1e16) also holds for nan and inf.
+        respelled = ((mag < 1e-4) & (block != 0)) | ~(mag < 1e16)
+        for i in np.flatnonzero(respelled.any(axis=1)):
+            lines[i] = ",".join(map(repr, block[i].tolist()))
+        out.write("\n".join(lines) + "\n")
 
 
 def parse_prediction_lines(text: str, expected_rows: int) -> np.ndarray:

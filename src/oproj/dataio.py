@@ -262,8 +262,18 @@ def save_csv(
             )
         if target_name in names:
             raise DataError(f"target name '{target_name}' collides with a feature")
+        target = np.asarray(target, dtype=np.float64)
+        bad = np.flatnonzero(~np.isfinite(target))
+        if bad.size:
+            # Rows are numbered as load_csv numbers them, from 1.
+            row = int(bad[0]) + 1
+            raise DataError(
+                f"non-finite target at row {row}, column '{target_name}'",
+                row=row,
+                column=target_name,
+            )
         names.append(target_name)
-        data = np.column_stack([data, np.asarray(target, dtype=np.float64)])
+        data = np.column_stack([data, target])
     with path.open("w", newline="", encoding="utf-8") as fh:
         format_matrix_csv(names, data, fh)
 

@@ -6,6 +6,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import fixture_command, needs_proc, process_gone
 from oproj.adapters import (
@@ -69,6 +72,68 @@ class TestInProcessModel:
         assert info.value.row == 1
 
 
+# Every spelling the encoder must match: any float (subnormals, +-0.0, nan,
+# inf), magnitudes on both sides of 1e-4 and 1e16, and whole numbers.
+WIRE_FLOATS = st.one_of(
+    st.floats(),
+    st.floats(-1e-4, 1e-4),
+    st.floats(1e-4, 1e16) | st.floats(-1e16, -1e-4),
+    st.floats(min_value=1e16) | st.floats(max_value=-1e16),
+    st.integers(-(2**53), 2**53).map(float),
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 1e-4, 9.999999999999999e-05, 1e16,
+         9999999999999998.0, float("nan"), float("inf"), float("-inf")]
+    ),
+)  # fmt: skip
+
+
+@st.composite
+def wire_matrices(draw):
+    # 0 rows, a few rows, or more than one 1024-row block.
+    rows = draw(st.integers(0, 4) | st.integers(1023, 1100))
+    shape = (rows, draw(st.integers(1, 4)))
+    # An explicit fill lets a large array draw only some of its cells: the
+    # mapped whole numbers would otherwise make hypothesis draw every cell.
+    data = draw(
+        hnp.arrays(np.float64, shape, elements=WIRE_FLOATS, fill=st.floats())
+    )
+    # FeatureMatrix stores its array column-major.
+    return np.asfortranarray(data) if draw(st.booleans()) else data
+
+
+def _unparseable(line):
+    if line.splitlines() != [line] or not line.strip():
+        return False
+    try:
+        float(line)
+    except ValueError:
+        return True
+    return False
+
+
+@st.composite
+def prediction_replies(draw):
+    """A model's stdout: its text, its prediction lines, the row count the
+    parser is told to expect, and the row of the one garbage line or None."""
+    pad = st.sampled_from(["", " ", "\t", "  "])
+    lines = [draw(pad) + repr(v) + draw(pad) for v in draw(st.lists(st.floats()))]
+    expected_rows = len(lines)
+    garbage_row = None
+    mode = draw(st.sampled_from(["ok", "garbage", "count"]))
+    if mode == "garbage" and lines:
+        garbage_row = draw(st.integers(0, len(lines) - 1))
+        garbage = draw(st.text(min_size=1, max_size=8).filter(_unparseable))
+        lines[garbage_row] = draw(pad) + garbage + draw(pad)
+    elif mode == "count":
+        expected_rows += draw(st.integers(-len(lines), 3).filter(bool))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    blanks = draw(st.lists(pad, max_size=3))
+    text = "".join(line + eol for line in lines + blanks)
+    if draw(st.booleans()):
+        text = text.removesuffix(eol)
+    return text, lines, expected_rows, garbage_row
+
+
 class TestWireFormat:
     def test_round_trip_is_exact(self, rng):
         scales = 10.0 ** rng.integers(-8, 8, (25, 4)).astype(float)
@@ -92,6 +157,46 @@ class TestWireFormat:
             ",".join(repr(float(v)) for v in row) + "\n" for row in m.as_array()
         )
         assert buf.getvalue() == "x1,x2,x3\n" + reference
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=wire_matrices())
+    def test_matches_per_value_repr_hypothesis(self, data):
+        buf = io.StringIO()
+        names = [f"x{j + 1}" for j in range(data.shape[1])]
+        format_matrix_csv(names, data, buf)
+        reference = "".join(
+            ",".join(repr(float(v)) for v in row) + "\n" for row in data
+        )
+        text = buf.getvalue()
+        # Line by line, so that a failure's message stays cheap to build.
+        lines = text.split("\n")
+        expected = (",".join(names) + "\n" + reference).split("\n")
+        assert len(lines) == len(expected)
+        for line, want in zip(lines, expected):
+            assert line == want
+        parsed = np.array(
+            [[float(c) for c in line.split(",")] for line in text.splitlines()[1:]]
+        ).reshape(data.shape)
+        nan = np.isnan(data)
+        np.testing.assert_array_equal(np.isnan(parsed), nan)
+        # Bit for bit, so that -0.0 and 0.0 differ.
+        assert parsed[~nan].tobytes() == data[~nan].tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=prediction_replies())
+    def test_parse_matches_per_line_float_hypothesis(self, case):
+        text, lines, expected_rows, garbage_row = case
+        if expected_rows != len(lines):
+            with pytest.raises(RowCountMismatchError):
+                parse_prediction_lines(text, expected_rows)
+        elif garbage_row is not None:
+            with pytest.raises(MalformedOutputError) as info:
+                parse_prediction_lines(text, expected_rows)
+            assert info.value.row == garbage_row
+        else:
+            out = parse_prediction_lines(text, expected_rows)
+            reference = np.array([float(line) for line in lines], dtype=np.float64)
+            assert out.tobytes() == reference.tobytes()
 
     def test_parse_prediction_lines(self):
         out = parse_prediction_lines("1.5\n-2.25\n3e-4\n", 3)

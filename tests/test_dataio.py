@@ -216,6 +216,17 @@ class TestSaveCsv:
         with pytest.raises(DataError, match="collides"):
             save_csv(m, tmp_path / "x.csv", target=np.zeros(5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_rejected_before_writing(self, tmp_path, rng, bad):
+        m = FeatureMatrix.from_arrays(["a"], rng.standard_normal((5, 1)))
+        y = np.zeros(5)
+        y[[2, 4]] = bad
+        p = tmp_path / "x.csv"
+        with pytest.raises(DataError, match="row 3") as info:
+            save_csv(m, p, target=y)
+        assert (info.value.row, info.value.column) == (3, "target")
+        assert not p.exists()
+
 
 class TestStandardize:
     def test_basic_population_convention(self):
