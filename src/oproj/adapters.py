@@ -13,9 +13,12 @@ import os
 import signal
 import subprocess
 import tempfile
+import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import BinaryIO, Callable, Sequence, TextIO
 
 import numpy as np
@@ -147,9 +150,13 @@ def format_matrix_csv(names: Sequence[str], data: np.ndarray, out: TextIO) -> No
 
     orjson writes each block of rows with the same shortest digits, about
     ten times faster than ``repr``, but spells three kinds of value its own
-    way: nonzero |x| < 1e-4 (``0.00001`` for ``1e-05``), |x| >= 1e16
-    (``1e16`` for ``1e+16``) and nan or inf (``null``). A row holding any of
-    them is rewritten with ``repr``, so the text is ``repr``'s byte for byte.
+    way: 1e-9 <= |x| < 1e-4 (``0.00001`` for ``1e-05``, ``1e-6`` for
+    ``1e-06``), |x| >= 1e16 (``1e16`` for ``1e+16``) and nan or inf
+    (``null``). Below 1e-9 both write the same exponent form. Only those
+    cells are rewritten with ``repr``, so the text is ``repr``'s byte for
+    byte and the extra cost grows with the number of such cells. The rule
+    was checked with orjson 3.8.3; ``test_adapters`` checks it against
+    ``repr``, and must pass before orjson is upgraded.
     """
     out.write(",".join(names) + "\n")
     for start in range(0, data.shape[0], _CSV_BLOCK_ROWS):
@@ -159,10 +166,15 @@ def format_matrix_csv(names: Sequence[str], data: np.ndarray, out: TextIO) -> No
         text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
         lines = text[2:-2].decode("ascii").split("],[")
         mag = np.abs(block)
-        # ~(mag < 1e16) also holds for nan and inf.
-        respelled = ((mag < 1e-4) & (block != 0)) | ~(mag < 1e16)
-        for i in np.flatnonzero(respelled.any(axis=1)):
-            lines[i] = ",".join(map(repr, block[i].tolist()))
+        # ~(mag < 1e16) also holds for nan and inf. np.nonzero lists the
+        # cells row by row, so groupby yields each row once.
+        rows, cols = np.nonzero(((mag >= 1e-9) & (mag < 1e-4)) | ~(mag < 1e16))
+        respelled = zip(rows.tolist(), cols.tolist(), block[rows, cols].tolist())
+        for i, row_cells in groupby(respelled, key=itemgetter(0)):
+            cells = lines[i].split(",")
+            for _, j, value in row_cells:
+                cells[j] = repr(value)
+            lines[i] = ",".join(cells)
         out.write("\n".join(lines) + "\n")
 
 
@@ -265,15 +277,22 @@ class SubprocessModel(ModelHandle):
         cmd = list(self.spec.command)
         proc = running.proc
         try:
-            # Returns at once for a model that has already exited.
-            proc.wait(timeout=max(0.0, running.deadline - time.monotonic()))
-        except BaseException as exc:
+            # poll() answers at once for a model that has already exited.
+            # Otherwise a thread blocked in proc.wait() returns as soon as the
+            # model exits, where proc.wait(timeout=...) would poll, sleeping
+            # up to 50 ms between checks.
+            if proc.poll() is None:
+                waiter = threading.Thread(target=proc.wait, daemon=True)
+                waiter.start()
+                waiter.join(max(0.0, running.deadline - time.monotonic()))
+        except BaseException:
             self.abort(running)
-            if isinstance(exc, subprocess.TimeoutExpired):
-                raise ModelTimeoutError(
-                    f"model command {cmd} exceeded timeout of {self.spec.timeout}s"
-                ) from None
             raise
+        if proc.returncode is None:
+            self.abort(running)
+            raise ModelTimeoutError(
+                f"model command {cmd} exceeded timeout of {self.spec.timeout}s"
+            )
         with running.stdout, running.stderr:
             if proc.returncode != 0:
                 running.stderr.seek(0)

@@ -73,16 +73,18 @@ class TestInProcessModel:
 
 
 # Every spelling the encoder must match: any float (subnormals, +-0.0, nan,
-# inf), magnitudes on both sides of 1e-4 and 1e16, and whole numbers.
+# inf), magnitudes on both sides of 1e-9, 1e-4 and 1e16, and whole numbers.
 WIRE_FLOATS = st.one_of(
     st.floats(),
     st.floats(-1e-4, 1e-4),
+    st.floats(-1e-8, 1e-8),
     st.floats(1e-4, 1e16) | st.floats(-1e16, -1e-4),
     st.floats(min_value=1e16) | st.floats(max_value=-1e16),
     st.integers(-(2**53), 2**53).map(float),
     st.sampled_from(
-        [0.0, -0.0, 5e-324, -5e-324, 1e-4, 9.999999999999999e-05, 1e16,
-         9999999999999998.0, float("nan"), float("inf"), float("-inf")]
+        [0.0, -0.0, 5e-324, -5e-324, 1e-9, 9.999999999999999e-10, 1e-4,
+         9.999999999999999e-05, 1e16, 9999999999999998.0, float("nan"),
+         float("inf"), float("-inf")]
     ),
 )  # fmt: skip
 
@@ -157,6 +159,19 @@ class TestWireFormat:
             ",".join(repr(float(v)) for v in row) + "\n" for row in m.as_array()
         )
         assert buf.getvalue() == "x1,x2,x3\n" + reference
+
+    def test_matches_repr_where_orjson_spells_its_own_way(self):
+        # Each band orjson spells differently, the values just outside it,
+        # and rows holding several such cells next to ordinary ones.
+        edges = [1e-10, 9.999999999999999e-10, 1e-9, 1.2e-7, 9.5e-6, 1e-5,
+                 1.5e-5, 9.999999999999999e-05, 1e-4, 9999999999999998.0,
+                 1e16, 1.7e18, 1e300, 5e-324, 0.0, float("nan"), float("inf")]  # fmt: skip
+        values = np.array(edges + [-v for v in edges])
+        data = np.column_stack([values, np.roll(values, 3), np.full(values.size, 2.5)])
+        buf = io.StringIO()
+        format_matrix_csv(["a", "b", "c"], data, buf)
+        reference = "".join(",".join(map(repr, row)) + "\n" for row in data.tolist())
+        assert buf.getvalue() == "a,b,c\n" + reference
 
     @settings(max_examples=150, deadline=None)
     @given(data=wire_matrices())
