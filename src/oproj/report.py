@@ -6,7 +6,6 @@ import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 from .dataio import DatasetSchema
 from .ranking import DependenceReport
@@ -195,7 +194,7 @@ def render_svg(doc: ReportDocument) -> str:
     for i, e in enumerate(entries):
         y = _TOP + i * _ROW_H
         bar_w = max(0.0, (e.normalized or 0.0) / 100.0 * _BAR_MAX)
-        label = escape(e.name)
+        label = e.name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         value = f"{e.normalized:g}"
         parts.append(
             f'<text x="{_LABEL_GUTTER - 8}" y="{y + 15}" text-anchor="end" '

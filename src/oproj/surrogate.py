@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .adapters import InProcessModel, ModelHandle
 from .errors import DimensionError, SingularSystemError
@@ -85,7 +84,8 @@ def _r_squared(y: np.ndarray, pred: np.ndarray) -> float:
 
 
 def fit_ridge(X: FeatureMatrix | np.ndarray, y, lam: float = 1e-3) -> RidgeModel:
-    """Solve the ridge normal equations by Cholesky factorization.
+    """Solve the ridge normal equations by Cholesky factorization
+    (``np.linalg.cholesky``, then two solves against the factor).
 
     Minimizes ||y - (b + X w)||^2 + lam * ||w||^2; the intercept b is not
     penalized. A singular system (possible only at lam = 0) raises
@@ -109,11 +109,12 @@ def fit_ridge(X: FeatureMatrix | np.ndarray, y, lam: float = 1e-3) -> RidgeModel
     gram = Z.T @ Z + np.diag(penalty)
     rhs = Z.T @ y
     try:
-        w = cho_solve(cho_factor(gram, lower=True), rhs)
+        L = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
             "normal equations are singular; retry with lam > 0"
         ) from exc
+    w = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
     intercept = float(w[0])
     coefficients = w[1:].copy()
     coefficients.flags.writeable = False

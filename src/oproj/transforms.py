@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DegenerateFeatureError
 from .linalg import FeatureMatrix, FeatureVector
 
 
@@ -46,20 +47,31 @@ class TransformSet:
         return int(self.enable_log) + len(self.poly_degrees) + int(self.enable_exp)
 
 
+def _companion(x: FeatureVector, transform: str, values: np.ndarray) -> FeatureVector:
+    try:
+        return FeatureVector(f"{x.name}__{transform}", values)
+    except ValueError as exc:  # FeatureVector rejects non-finite entries
+        raise DegenerateFeatureError(
+            f"transform '{transform}' of '{x.name}' overflows to non-finite "
+            "values; standardize the data or drop the transform"
+        ) from exc
+
+
 def expand_feature(x: FeatureVector, ts: TransformSet) -> list[FeatureVector]:
     """Enabled transforms of ``x`` in fixed order: log, polynomials by
-    ascending degree, exp. Each output is finite and named
-    ``<feature>__<transform>``."""
+    ascending degree, exp. Each output is named ``<feature>__<transform>``.
+    A transform that overflows (a cube of values near 1e120, say) raises
+    DegenerateFeatureError naming the feature and the transform."""
     out: list[FeatureVector] = []
     v = x.values
-    if ts.enable_log:
-        shifted = v - np.min(v) + 1.0
-        out.append(FeatureVector(f"{x.name}__log", np.log(shifted)))
-    for d in ts.poly_degrees:
-        out.append(FeatureVector(f"{x.name}__pow{d}", v**d))
-    if ts.enable_exp:
-        clipped = np.clip(v, -ts.exp_clip, ts.exp_clip)
-        out.append(FeatureVector(f"{x.name}__exp", np.exp(clipped)))
+    with np.errstate(over="ignore"):
+        if ts.enable_log:
+            out.append(_companion(x, "log", np.log(v - np.min(v) + 1.0)))
+        for d in ts.poly_degrees:
+            out.append(_companion(x, f"pow{d}", v**d))
+        if ts.enable_exp:
+            clipped = np.clip(v, -ts.exp_clip, ts.exp_clip)
+            out.append(_companion(x, "exp", np.exp(clipped)))
     return out
 
 

@@ -282,6 +282,26 @@ class TestAudit:
         }
         assert doc["entries"][0]["name"] == "x1"
 
+    def test_overflowing_companion_without_standardize_exit_0(self, tmp_path):
+        csv = tmp_path / "big.csv"
+        rng = np.random.default_rng(0)
+        rows = [f"{a!r},{b!r},{c * 1e120!r}" for a, b, c in rng.standard_normal((60, 3)).tolist()]
+        csv.write_text("x1,x2,x3\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        code = main(
+            [
+                "audit",
+                "--data", str(csv),
+                "--model", LINEAR_MODEL,
+                "--no-standardize",
+                "--out", str(out),
+            ]
+        )  # fmt: skip
+        assert code == 0
+        entries = {e["name"]: e for e in json.loads((out / "report.json").read_text())["entries"]}
+        assert "'pow3'" in entries["x3"]["error"]
+        assert entries["x1"]["error"] is None and entries["x2"]["error"] is None
+
     def test_missing_target_column_exit_1(self, tmp_path, capsys):
         data = synth(tmp_path)
         code = main(

@@ -370,6 +370,19 @@ class TestRankAll:
         assert {e.name for e in scored} == {"x1", "x3"}
         assert scored[0].normalized == 100.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_companion_flagged_and_rest_audited(self, rng):
+        data = rng.standard_normal((80, 3))
+        data[:, 1] *= 1e120  # its cube overflows float64
+        h = InProcessModel(lambda a: a @ np.array([2.0, 1.0, 0.5]))
+        report = rank_all(h, matrix(data), AuditConfig(standardize=False))
+        big = report.entry("x2")
+        assert big.raw_delta is None
+        assert "'x2'" in big.error and "'pow3'" in big.error and "non-finite" in big.error
+        scored = [e for e in report.entries if e.error is None]
+        assert {e.name for e in scored} == {"x1", "x3"}
+        assert scored[0].normalized == 100.0
+
     def test_all_features_failing_raises(self, rng):
         data = rng.standard_normal((30, 2))
         m = matrix(data)

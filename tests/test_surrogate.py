@@ -89,6 +89,20 @@ class TestFitRidge:
             resid = (Z.T @ Z + np.diag(penalty)) @ w - Z.T @ y
             assert np.max(np.abs(resid)) <= 1e-8 * np.max(np.abs(Z.T @ y))
 
+    def test_matches_scipy_cholesky_solve(self, rng):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        for lam in (0.0, 1e-3, 0.5):
+            X = rng.standard_normal((200, 6))
+            y = X @ rng.standard_normal(6) + rng.standard_normal(200)
+            model = fit_ridge(matrix(X), y, lam=lam)
+            Z = np.column_stack([np.ones(200), X])
+            penalty = np.full(7, lam)
+            penalty[0] = 0.0
+            gram = Z.T @ Z + np.diag(penalty)
+            ref = scipy_linalg.cho_solve(scipy_linalg.cho_factor(gram, lower=True), Z.T @ y)
+            w = np.concatenate([[model.intercept], model.coefficients])
+            np.testing.assert_allclose(w, ref, rtol=1e-12, atol=1e-14)
+
     def test_singular_at_zero_lambda(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
         X = np.column_stack([x, x])  # exactly collinear
