@@ -9,7 +9,6 @@ from .adapters import (
     capture_outputs,
 )
 from .dataio import (
-    AffineMap,
     ColumnSpec,
     DatasetSchema,
     NonlinearTerm,
@@ -40,12 +39,11 @@ from .errors import (
 )
 from .linalg import (
     FeatureMatrix,
-    FeatureVector,
     ProjectionBasis,
     orthonormalize,
+    project_against_basis,
+    project_against_vector,
     project_out,
-    transform_against_feature,
-    transform_against_vector,
 )
 from .oracle import loco_refit_importances, spearman_rank_correlation
 from .ranking import (
@@ -80,6 +78,6 @@ from .surrogate import (
     surrogate_handle,
     train_surrogate,
 )
-from .transforms import TransformSet, build_removal_candidates, expand_feature
+from .transforms import TransformSet, removal_candidates
 
 __version__ = "0.1.0"

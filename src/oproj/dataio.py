@@ -240,7 +240,7 @@ def load_csv(
     # The parsed cells dominate peak memory; free them before the matrix
     # gets its one (column-major) array.
     del rows, raw_columns
-    return FeatureMatrix._adopt(names, np.array(columns).T), target
+    return FeatureMatrix(names, np.array(columns).T), target
 
 
 def save_csv(
@@ -278,43 +278,32 @@ def save_csv(
         format_matrix_csv(names, data, fh)
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    """z = (x - offset) / scale, and its inverse for query reconstruction."""
-
-    offset: float
-    scale: float
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return (x - self.offset) / self.scale
-
-    def invert(self, z: np.ndarray) -> np.ndarray:
-        return z * self.scale + self.offset
-
-
-def standardize(X: FeatureMatrix) -> tuple[FeatureMatrix, list[AffineMap]]:
+def standardize(X: FeatureMatrix) -> tuple[FeatureMatrix, np.ndarray, np.ndarray]:
     """Z-score every column (population convention, divisor n).
 
-    A second centering pass, folded into the returned affine map, keeps the
-    output mean below 1e-12 even for columns with large offsets. A constant
-    column cannot be scaled and passes through under the identity map, so
-    the audit, not standardization, flags it.
+    Returns the standardized matrix and length-k ``offset`` and ``scale``
+    arrays with z = (x - offset) / scale, so a standardized block maps back
+    as z * scale + offset. A second centering pass, folded into the offset,
+    keeps the output mean below 1e-12 even for columns with large offsets.
+    A constant column cannot be scaled and passes through with offset 0 and
+    scale 1, so the audit, not standardization, flags it.
     """
     out = np.empty((X.n, X.k), order="F")
-    maps: list[AffineMap] = []
+    offset = np.zeros(X.k)
+    scale = np.ones(X.k)
     for j in range(X.k):
         v = X.data[:, j]
         mean = float(np.mean(v))
         sd = float(np.sqrt(np.mean((v - mean) ** 2)))
         if sd == 0.0 or sd < 1e-12 * max(abs(mean), 1.0):
             out[:, j] = v
-            maps.append(AffineMap(offset=0.0, scale=1.0))
             continue
         z = (v - mean) / sd
         resid_mean = float(np.mean(z))
         out[:, j] = z - resid_mean
-        maps.append(AffineMap(offset=mean + sd * resid_mean, scale=sd))
-    return FeatureMatrix._adopt(X.names, out), maps
+        offset[j] = mean + sd * resid_mean
+        scale[j] = sd
+    return FeatureMatrix(X.names, out), offset, scale
 
 
 @dataclass(frozen=True)

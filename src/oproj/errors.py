@@ -16,7 +16,8 @@ class FeatureLookupError(OprojError):
 
 
 class DegenerateFeatureError(OprojError):
-    """A feature is constant (or numerically zero) and cannot be audited."""
+    """A feature cannot be audited: it is constant or numerically zero, or
+    its companions, removal subspace or metric overflow float64."""
 
 
 class DegenerateSubspaceError(OprojError):

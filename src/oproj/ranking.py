@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .adapters import ModelHandle, capture_outputs
-from .dataio import AffineMap, standardize
+from .dataio import standardize
 from .errors import (
     AdapterError,
     AuditFailedError,
@@ -23,13 +23,8 @@ from .errors import (
     DegenerateSubspaceError,
     DimensionError,
 )
-from .linalg import (
-    FeatureMatrix,
-    orthonormalize,
-    transform_against_feature,
-    transform_against_vector,
-)
-from .transforms import TransformSet, build_removal_candidates
+from .linalg import FeatureMatrix, project_against_basis, project_against_vector
+from .transforms import TransformSet, removal_candidates
 
 REPLACEMENT_POLICIES = ("mean", "zero", "constant")
 METRIC_KINDS = ("mse", "accuracy")
@@ -81,7 +76,8 @@ class AuditConfig:
 
 def compute_metric(pred, y, metric: PerformanceMetric) -> float:
     """MSE = mean((pred-y)^2); accuracy = fraction of threshold-binarized
-    agreement."""
+    agreement. An MSE beyond float64 range comes back as inf, without a
+    warning; the audit flags it."""
     pred = np.asarray(pred, dtype=np.float64).reshape(-1)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if pred.shape[0] != y.shape[0]:
@@ -91,7 +87,8 @@ def compute_metric(pred, y, metric: PerformanceMetric) -> float:
     if pred.shape[0] == 0:
         raise DimensionError("cannot score zero samples")
     if metric.kind == "mse":
-        return float(np.mean((pred - y) ** 2))
+        with np.errstate(over="ignore"):
+            return float(np.mean((pred - y) ** 2))
     return float(np.mean((pred >= metric.threshold) == (y >= metric.threshold)))
 
 
@@ -140,18 +137,20 @@ class DependenceReport:
 
 @dataclass(frozen=True)
 class _Prepared:
-    """Original matrix plus the (possibly standardized) projection space."""
+    """Original matrix plus the (possibly standardized) projection space.
+    ``offset`` and ``scale`` map the projection space back to native scale,
+    and are None when the audit runs unstandardized."""
 
     raw: FeatureMatrix
     audit: FeatureMatrix
-    maps: list[AffineMap] | None
+    offset: np.ndarray | None
+    scale: np.ndarray | None
 
 
 def _prepare(X: FeatureMatrix, cfg: AuditConfig) -> _Prepared:
     if cfg.standardize:
-        std, maps = standardize(X)
-        return _Prepared(raw=X, audit=std, maps=maps)
-    return _Prepared(raw=X, audit=X, maps=None)
+        return _Prepared(X, *standardize(X))
+    return _Prepared(raw=X, audit=X, offset=None, scale=None)
 
 
 def _replacement_value(raw_column: np.ndarray, cfg: AuditConfig) -> float:
@@ -162,21 +161,52 @@ def _replacement_value(raw_column: np.ndarray, cfg: AuditConfig) -> float:
     return float(cfg.replacement_value)
 
 
-def _assemble_query(
-    prepared: _Prepared, current_idx: int, projected: FeatureMatrix | None, cfg: AuditConfig
-) -> FeatureMatrix:
-    """Rebuild a full k-column matrix in the model's native scale: projected
-    columns mapped back through their affine maps, the audited column a
-    constant carrying no information."""
-    raw = prepared.raw
+def _build_query(
+    prepared: _Prepared, current: str, cfg: AuditConfig
+) -> tuple[FeatureMatrix, int]:
+    """The query that removes ``current``, and how many removal candidates
+    its basis dropped.
+
+    The other columns are projected off the removal subspace and mapped
+    back to the model's native scale; the audited column becomes a
+    constant carrying no information. The query is the only n x k array
+    built here besides the basis route's projection scratch.
+    """
+    audit, raw = prepared.audit, prepared.raw
+    idx = audit.index(current)
+    if np.ptp(audit.data[:, idx]) == 0.0:
+        raise DegenerateFeatureError(
+            f"feature '{current}' is constant and cannot be audited"
+        )
+
+    # Allocated before the candidates and the basis: the allocator then
+    # reuses one heap region for every feature's buffers, where otherwise
+    # it hands the region back after each query and faults it in anew.
     query = np.empty((raw.n, raw.k), order="F")
-    query[:, current_idx] = _replacement_value(raw.data[:, current_idx], cfg)
-    if projected is not None:
-        rest = [i for i in range(raw.k) if i != current_idx]
-        for col, i in enumerate(rest):
-            pcol = projected.data[:, col]
-            query[:, i] = pcol if prepared.maps is None else prepared.maps[i].invert(pcol)
-    return FeatureMatrix._adopt(raw.names, query)
+    dropped = 0
+    if raw.k > 1:
+        try:
+            if cfg.transforms.count == 0:
+                # Pure linear removal: identical arithmetic to projecting
+                # against the raw vector, so transform-free runs reduce
+                # exactly to the single-vector algorithm.
+                project_against_vector(audit, current, query)
+            else:
+                candidates = removal_candidates(current, audit.data[:, idx], cfg.transforms)
+                dropped = project_against_basis(
+                    audit, current, candidates, query, cfg.drop_tol
+                )
+        except (DegenerateFeatureError, DegenerateSubspaceError) as exc:
+            raise type(exc)(f"feature '{current}': {exc}") from exc
+        if prepared.scale is not None:
+            # z * scale + offset on every element, one block either side of
+            # the audited column.
+            for cols in (slice(None, idx), slice(idx + 1, None)):
+                block = query[:, cols]
+                block *= prepared.scale[cols]
+                block += prepared.offset[cols]
+    query[:, idx] = _replacement_value(raw.data[:, idx], cfg)
+    return FeatureMatrix(raw.names, query), dropped
 
 
 @dataclass(frozen=True)
@@ -203,36 +233,9 @@ def _launch_query(
     ``finish_previous``, then launch the query.
 
     A subprocess model answers the previous query while this one is built
-    and encoded. The candidates, basis and projection stay alive until the
-    launch, so an in-process model, which answers there, allocates in the
-    same order as a build-then-predict loop.
+    and encoded.
     """
-    idx = prepared.audit.index(current)
-    if np.ptp(prepared.audit.data[:, idx]) == 0.0:
-        raise DegenerateFeatureError(
-            f"feature '{current}' is constant and cannot be audited"
-        )
-
-    dropped = 0
-    if prepared.audit.k == 1:
-        # Nothing else to project; the query collapses to the constant column.
-        projected = None
-    else:
-        try:
-            candidates = build_removal_candidates(prepared.audit, current, cfg.transforms)
-            if len(candidates) == 1:
-                # Pure linear removal: identical arithmetic to projecting
-                # against the raw vector, so transform-free runs reduce
-                # exactly to the single-vector algorithm.
-                projected = transform_against_vector(prepared.audit, current, candidates[0])
-            else:
-                basis = orthonormalize(candidates, cfg.drop_tol)
-                dropped = basis.dropped_count
-                projected = transform_against_feature(prepared.audit, current, basis)
-        except (DegenerateFeatureError, DegenerateSubspaceError) as exc:
-            raise type(exc)(f"feature '{current}': {exc}") from exc
-
-    query = _assemble_query(prepared, idx, projected, cfg)
+    query, dropped = _build_query(prepared, current, cfg)
     try:
         encoded = model.prepare(query)
         finish_previous()
@@ -250,9 +253,15 @@ def _score(
     except AdapterError as exc:
         raise _named(exc, flight.name) from exc
     b_new = compute_metric(pred, y, cfg.metric)
+    raw_delta = abs(baseline - b_new)
+    if not np.isfinite(raw_delta):
+        raise DegenerateFeatureError(
+            f"feature '{flight.name}': the metric overflows float64 "
+            f"(b_new {b_new}); rescale the data"
+        )
     return AuditOutcome(
         name=flight.name,
-        raw_delta=abs(baseline - b_new),
+        raw_delta=raw_delta,
         b_new=b_new,
         dropped_count=flight.dropped_count,
     )
@@ -321,6 +330,11 @@ def rank_all(
             f"target length {target.shape[0]} does not match {X.n} rows"
         )
     baseline = compute_metric(captured, target, cfg.metric)
+    if not np.isfinite(baseline):
+        raise AuditFailedError(
+            f"the baseline metric overflows float64 ({baseline}); rescale the "
+            "model's outputs or the target"
+        )
     prepared = _prepare(X, cfg)
 
     # One query of lookahead: feature j+1's query is built and encoded
@@ -335,7 +349,7 @@ def rank_all(
         if flight is not None:
             try:
                 outcomes.append(_score(model, flight, target, cfg, baseline))
-            except AdapterError as exc:
+            except (DegenerateFeatureError, AdapterError) as exc:
                 errors[flight.name] = str(exc)
             flight = None
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFeatureError
-from .linalg import FeatureMatrix, FeatureVector
+from .linalg import FeatureMatrix
 
 
 @dataclass(frozen=True)
@@ -47,38 +47,30 @@ class TransformSet:
         return int(self.enable_log) + len(self.poly_degrees) + int(self.enable_exp)
 
 
-def _companion(x: FeatureVector, transform: str, values: np.ndarray) -> FeatureVector:
-    try:
-        return FeatureVector(f"{x.name}__{transform}", values)
-    except ValueError as exc:  # FeatureVector rejects non-finite entries
-        raise DegenerateFeatureError(
-            f"transform '{transform}' of '{x.name}' overflows to non-finite "
-            "values; standardize the data or drop the transform"
-        ) from exc
+def removal_candidates(name: str, x: np.ndarray, ts: TransformSet) -> FeatureMatrix:
+    """The columns whose span gets projected out when auditing feature
+    ``name`` with values ``x``: x itself, then its enabled transforms in
+    fixed order (log, polynomials by ascending degree, exp), each named
+    ``<feature>__<transform>``.
 
-
-def expand_feature(x: FeatureVector, ts: TransformSet) -> list[FeatureVector]:
-    """Enabled transforms of ``x`` in fixed order: log, polynomials by
-    ascending degree, exp. Each output is named ``<feature>__<transform>``.
     A transform that overflows (a cube of values near 1e120, say) raises
-    DegenerateFeatureError naming the feature and the transform."""
-    out: list[FeatureVector] = []
-    v = x.values
+    DegenerateFeatureError naming the feature and the transform.
+    """
+    companions: list[tuple[str, np.ndarray]] = []
     with np.errstate(over="ignore"):
         if ts.enable_log:
-            out.append(_companion(x, "log", np.log(v - np.min(v) + 1.0)))
+            companions.append(("log", np.log(x - np.min(x) + 1.0)))
         for d in ts.poly_degrees:
-            out.append(_companion(x, f"pow{d}", v**d))
+            companions.append((f"pow{d}", x**d))
         if ts.enable_exp:
-            clipped = np.clip(v, -ts.exp_clip, ts.exp_clip)
-            out.append(_companion(x, "exp", np.exp(clipped)))
-    return out
-
-
-def build_removal_candidates(
-    X: FeatureMatrix, current: str, ts: TransformSet
-) -> list[FeatureVector]:
-    """The vectors whose span gets projected out when auditing ``current``:
-    the feature itself followed by its enabled transforms."""
-    x = X.column(current)
-    return [x, *expand_feature(x, ts)]
+            clipped = np.clip(x, -ts.exp_clip, ts.exp_clip)
+            companions.append(("exp", np.exp(clipped)))
+    for transform, values in companions:
+        if not np.isfinite(values).all():
+            raise DegenerateFeatureError(
+                f"transform '{transform}' of '{name}' overflows to non-finite "
+                "values; standardize the data or drop the transform"
+            )
+    names = [name, *(f"{name}__{t}" for t, _ in companions)]
+    # k rows of n, transposed: the column-major layout FeatureMatrix keeps.
+    return FeatureMatrix(names, np.array([x, *(v for _, v in companions)]).T)

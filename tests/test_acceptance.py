@@ -19,7 +19,7 @@ import pytest
 from oproj.adapters import InProcessModel
 from oproj.cli import main
 from oproj.dataio import SyntheticSpec, generate_synthetic, standardize
-from oproj.linalg import FeatureMatrix, FeatureVector, orthonormalize, transform_against_feature
+from oproj.linalg import FeatureMatrix, orthonormalize, project_against_basis
 from oproj.oracle import loco_refit_importances, spearman_rank_correlation
 from oproj.ranking import (
     AuditConfig,
@@ -29,7 +29,7 @@ from oproj.ranking import (
     rank_all,
 )
 from oproj.surrogate import fit_ridge, train_surrogate
-from oproj.transforms import TransformSet, build_removal_candidates
+from oproj.transforms import TransformSet, removal_candidates
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -65,12 +65,13 @@ def test_criterion_1_orthogonality_suite():
     worst = 0.0
     for seed in range(50):
         data = np.random.default_rng(seed).standard_normal((200, 8))
-        m, _ = standardize(matrix(data))
-        for name in m.names:
-            basis = orthonormalize(build_removal_candidates(m, name, ts))
-            out = transform_against_feature(m, name, basis)
-            out_arr = out.as_array()
-            basis_arr = basis.as_array()
+        m = standardize(matrix(data))[0]
+        for j, name in enumerate(m.names):
+            candidates = removal_candidates(name, m.data[:, j], ts)
+            basis_arr = orthonormalize(candidates).array
+            out = np.empty((200, 8), order="F")
+            project_against_basis(m, name, candidates, out)
+            out_arr = np.delete(out, j, axis=1)  # column j is the caller's
             dots = np.abs(out_arr.T @ basis_arr)
             bounds = 1e-8 * np.outer(
                 np.linalg.norm(out_arr, axis=0), np.linalg.norm(basis_arr, axis=0)
@@ -191,24 +192,20 @@ def test_criterion_5_reduces_to_single_vector_audit():
 
         captured = h.predict_batch(m)
         baseline = compute_metric(captured, captured, cfg.metric)
-        X_std, maps = standardize(m)
+        X_std, offset, scale = standardize(m)
         outcomes = []
-        for name in m.names:
-            j = X_std.index(name)
-            u = X_std.columns[j].values
+        for j, name in enumerate(m.names):
+            u = X_std.data[:, j]
             cols = []
-            for i, col in enumerate(m.columns):
+            for i in range(m.k):
                 if i == j:
-                    cols.append(
-                        FeatureVector(col.name, np.full(m.n, float(np.mean(col.values))))
-                    )
+                    cols.append(np.full(m.n, float(np.mean(m.data[:, i]))))
                 else:
-                    v = X_std.columns[i].values
+                    v = X_std.data[:, i]
                     coef = float(np.dot(u, v)) / float(np.dot(u, u))
                     w = v - coef * u
-                    w = w * maps[i].scale + maps[i].offset
-                    cols.append(FeatureVector(col.name, w))
-            pred = h.predict_batch(FeatureMatrix(tuple(cols)))
+                    cols.append(w * scale[i] + offset[i])
+            pred = h.predict_batch(FeatureMatrix.from_arrays(m.names, np.column_stack(cols)))
             b_new = compute_metric(pred, captured, cfg.metric)
             outcomes.append(
                 AuditOutcome(name, abs(baseline - b_new), b_new, 0)

@@ -145,6 +145,11 @@ class TestAudit:
         assert not lock.exists()
 
     def test_report_identical_across_blas_thread_counts(self, tmp_path):
+        """A 3000x12 audit reports the same bits under 1 and 2 OpenBLAS
+        threads. This size is below where OpenBLAS (0.3.31) splits a dot
+        product (over 10000 elements) or the basis products across threads,
+        so the test cannot see that split: a 50000x40 audit reports
+        different last bits under 1 and 2 threads."""
         coefficients = ",".join(str(c) for c in range(12, 0, -1))
         data = synth(tmp_path, f"n=3000\ncoefficients={coefficients}\nnoise_sd=0.1\nseed=7\n")
         reports = []

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import oproj.dataio as dataio
 from oproj.dataio import (
-    AffineMap,
     ColumnSpec,
     DatasetSchema,
     NonlinearTerm,
@@ -21,7 +20,7 @@ from oproj.dataio import (
     standardize,
 )
 from oproj.errors import DataError, SyntheticSpecError
-from oproj.linalg import FeatureMatrix, FeatureVector
+from oproj.linalg import FeatureMatrix
 from oproj.surrogate import fit_ridge
 
 
@@ -48,8 +47,8 @@ class TestLoadCsv:
         schema = DatasetSchema({"g": ColumnSpec(kind="categorical")})
         X, _ = load_csv(p, schema)
         assert X.names == ("g=F", "g=M", "v")
-        f = X.column("g=F").values
-        m = X.column("g=M").values
+        f = X.data[:, X.index("g=F")]
+        m = X.data[:, X.index("g=M")]
         np.testing.assert_array_equal(f + m, [1, 1, 1])
         np.testing.assert_array_equal(f, [1, 0, 1])
 
@@ -230,57 +229,44 @@ class TestSaveCsv:
 
 class TestStandardize:
     def test_basic_population_convention(self):
-        m = FeatureMatrix((FeatureVector("a", np.array([1.0, 2.0, 3.0])),))
-        out, maps = standardize(m)
-        z = out.column("a").values
+        m = FeatureMatrix.from_arrays(["a"], np.array([[1.0], [2.0], [3.0]]))
+        out, _, scale = standardize(m)
+        z = out.data[:, 0]
         assert abs(z.mean()) <= 1e-12
         assert abs(np.sqrt(np.mean(z**2)) - 1.0) <= 1e-12
         # Population sd of (1,2,3) is sqrt(2/3).
-        assert maps[0].scale == pytest.approx(np.sqrt(2.0 / 3.0), rel=1e-15)
+        assert scale[0] == pytest.approx(np.sqrt(2.0 / 3.0), rel=1e-15)
 
     def test_idempotent(self, rng):
         m = FeatureMatrix.from_arrays(["a", "b"], rng.standard_normal((50, 2)))
-        once, _ = standardize(m)
-        twice, _ = standardize(once)
+        once = standardize(m)[0]
+        twice = standardize(once)[0]
         np.testing.assert_allclose(
             twice.as_array(), once.as_array(), rtol=0, atol=1e-12
         )
 
     def test_constant_column_maps_by_identity(self):
-        m = FeatureMatrix(
-            (
-                FeatureVector("ok", np.array([1.0, 2.0, 3.0])),
-                FeatureVector("flat", np.array([5.0, 5.0, 5.0])),
-            )
-        )
-        out, maps = standardize(m)
-        np.testing.assert_array_equal(out.column("flat").values, [5.0, 5.0, 5.0])
-        assert maps[1] == AffineMap(offset=0.0, scale=1.0)
+        data = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
+        out, offset, scale = standardize(FeatureMatrix.from_arrays(["ok", "flat"], data))
+        np.testing.assert_array_equal(out.data[:, 1], [5.0, 5.0, 5.0])
+        assert (offset[1], scale[1]) == (0.0, 1.0)
 
     def test_large_offset_mean_still_tiny(self, rng):
         # Columns with mean ~1e6 stress the centering; the second pass keeps
         # the standardized mean under 1e-12.
         data = rng.standard_normal((1000, 2)) + 1e6
         m = FeatureMatrix.from_arrays(["a", "b"], data)
-        out, maps = standardize(m)
-        for c in out.columns:
-            assert abs(float(np.mean(c.values))) <= 1e-12
-            assert abs(float(np.sqrt(np.mean(c.values**2))) - 1.0) <= 1e-12
+        out = standardize(m)[0]
+        for c in out.data.T:
+            assert abs(float(np.mean(c))) <= 1e-12
+            assert abs(float(np.sqrt(np.mean(c**2))) - 1.0) <= 1e-12
 
     def test_affine_maps_invert(self, rng):
         data = rng.standard_normal((40, 2)) * 7.5 + 3.0
         m = FeatureMatrix.from_arrays(["a", "b"], data)
-        out, maps = standardize(m)
-        for j, c in enumerate(out.columns):
-            back = maps[j].invert(c.values)
-            np.testing.assert_allclose(back, data[:, j], rtol=1e-12, atol=1e-9)
-
-
-class TestAffineMap:
-    def test_apply_invert_round_trip(self, rng):
-        amap = AffineMap(offset=4.2, scale=0.37)
-        x = rng.standard_normal(20)
-        np.testing.assert_allclose(amap.invert(amap.apply(x)), x, rtol=1e-14)
+        out, offset, scale = standardize(m)
+        np.testing.assert_allclose((data - offset) / scale, out.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.data * scale + offset, data, rtol=1e-12, atol=1e-9)
 
 
 class TestSyntheticSpec:
@@ -360,8 +346,7 @@ class TestGenerateSynthetic:
         X, y, order = generate_synthetic(spec)
         assert order is None
         # y really contains the squared contribution.
-        x1 = X.column("x1").values
-        x2 = X.column("x2").values
+        x1, x2 = X.data.T
         np.testing.assert_allclose(y, x2 + x1**2, rtol=1e-12)
 
 

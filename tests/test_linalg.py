@@ -12,53 +12,62 @@ from oproj.errors import (
 )
 from oproj.linalg import (
     FeatureMatrix,
-    FeatureVector,
     ProjectionBasis,
     orthonormalize,
+    project_against_basis,
+    project_against_vector,
     project_out,
-    transform_against_feature,
-    transform_against_vector,
 )
+from oproj.ranking import AuditConfig, _build_query, _prepare
+from oproj.transforms import TransformSet
 
 
-def fv(name, values):
-    return FeatureVector(name, np.asarray(values, dtype=float))
+def cols(**columns):
+    """A matrix of named columns, in keyword order."""
+    values = [np.asarray(v, dtype=float) for v in columns.values()]
+    return FeatureMatrix.from_arrays(list(columns), np.column_stack(values))
 
 
-class TestFeatureVector:
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            fv("a", [1.0, np.nan])
+def own(m, name):
+    """The one-candidate removal set of ``name``: the column itself."""
+    return FeatureMatrix.from_arrays([name], m.data[:, [m.index(name)]])
 
-    def test_rejects_inf(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            fv("a", [np.inf, 0.0])
 
-    def test_values_are_read_only(self):
-        v = fv("a", [1.0, 2.0])
-        with pytest.raises(ValueError):
-            v.values[0] = 9.0
+def basis_route(m, name, candidates):
+    out = np.empty(m.data.shape, order="F")
+    return out, project_against_basis(m, name, candidates, out)
 
-    def test_rejects_2d(self):
-        with pytest.raises(DimensionError):
-            FeatureVector("a", np.zeros((2, 2)))
+
+def vector_route(m, name):
+    out = np.empty(m.data.shape, order="F")
+    project_against_vector(m, name, out)
+    return out
+
+
+def rest(out, m, name):
+    """The projected columns of a route's output, without ``name``'s."""
+    return np.delete(out, m.index(name), axis=1)
 
 
 class TestFeatureMatrix:
     def test_duplicate_names_rejected(self):
         with pytest.raises(DimensionError, match="duplicate"):
-            FeatureMatrix((fv("a", [1, 2]), fv("a", [3, 4])))
+            FeatureMatrix.from_arrays(["a", "a"], np.zeros((2, 2)))
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(DimensionError):
-            FeatureMatrix((fv("a", [1, 2]), fv("b", [3, 4, 5])))
+        with pytest.raises(DimensionError, match="2 names for 3 columns"):
+            FeatureMatrix.from_arrays(["a", "b"], np.zeros((4, 3)))
 
     def test_needs_two_samples(self):
         with pytest.raises(DimensionError):
-            FeatureMatrix((fv("a", [1.0]),))
+            FeatureMatrix.from_arrays(["a"], np.array([[1.0]]))
+
+    def test_rejects_one_dimensional_data(self):
+        with pytest.raises(DimensionError, match="2-D"):
+            FeatureMatrix.from_arrays(["a"], np.zeros(3))
 
     def test_lookup_error_names_feature(self):
-        m = FeatureMatrix((fv("a", [1, 2]),))
+        m = cols(a=[1, 2])
         with pytest.raises(FeatureLookupError, match="'zz'"):
             m.index("zz")
 
@@ -75,8 +84,6 @@ def _built_by(how, tmp_path):
     m = FeatureMatrix.from_arrays(["a", "b", "c"], data)
     if how == "from_arrays":
         return m
-    if how == "columns":
-        return FeatureMatrix(m.columns)
     if how == "load_csv":
         path = tmp_path / "d.csv"
         save_csv(m, path)
@@ -87,9 +94,11 @@ def _built_by(how, tmp_path):
         return m.take_rows(np.array([5, 0, 7]))
     if how == "drop":
         return m.drop("b")
-    if how == "transform_against_feature":
-        return transform_against_feature(m, "a", orthonormalize([m.column("a")]))
-    return transform_against_vector(m, "a", m.column("a"))
+    # The audit query that removes "a", built by the basis route
+    # ("transform_against_feature") or the single-vector route.
+    ts = TransformSet() if how == "transform_against_feature" else TransformSet.none()
+    cfg = AuditConfig(transforms=ts)
+    return _build_query(_prepare(m, cfg), "a", cfg)[0]
 
 
 class TestStorageContract:
@@ -97,7 +106,6 @@ class TestStorageContract:
         "how",
         [
             "from_arrays",
-            "columns",
             "load_csv",
             "standardize",
             "take_rows",
@@ -134,6 +142,9 @@ class TestStorageContract:
         data = np.array([[1.0, 2.0], [3.0, np.nan]])
         with pytest.raises(ValueError, match="feature 'b' contains non-finite"):
             FeatureMatrix.from_arrays(["a", "b"], data)
+        data = np.array([[np.inf, 2.0], [3.0, 4.0]])
+        with pytest.raises(ValueError, match="feature 'a' contains non-finite"):
+            FeatureMatrix.from_arrays(["a", "b"], data)
 
 
 class TestProjectOut:
@@ -150,9 +161,9 @@ class TestProjectOut:
         np.testing.assert_allclose(out, [0.5, -0.5], rtol=1e-15)
 
     def test_zero_direction_rejected(self):
-        m = FeatureMatrix((fv("u", [0, 0]), fv("v", [1, 2])))
+        m = cols(u=[0, 0], v=[1, 2])
         with pytest.raises(DegenerateFeatureError, match="'u'"):
-            transform_against_vector(m, "u", m.column("u"))
+            vector_route(m, "u")
 
     def test_result_orthogonal_to_direction(self, rng):
         for _ in range(20):
@@ -216,132 +227,163 @@ def test_project_out_properties_hypothesis(data):
 
 class TestOrthonormalize:
     def test_already_orthogonal(self):
-        basis = orthonormalize([fv("a", [1, 0]), fv("b", [0, 2])])
+        basis = orthonormalize(cols(a=[1, 0], b=[0, 2]))
         assert basis.dropped_count == 0
-        np.testing.assert_allclose(basis.vectors[0].values, [1, 0], atol=1e-15)
-        np.testing.assert_allclose(basis.vectors[1].values, [0, 1], atol=1e-15)
+        np.testing.assert_allclose(basis.array, [[1, 0], [0, 1]], atol=1e-15)
 
     def test_duplicate_direction_dropped(self):
-        basis = orthonormalize([fv("a", [1, 1]), fv("b", [2, 2])])
+        basis = orthonormalize(cols(a=[1, 1], b=[2, 2]))
         assert basis.dropped_count == 1
         s = 1 / np.sqrt(2)
-        np.testing.assert_allclose(basis.vectors[0].values, [s, s], rtol=1e-15)
+        np.testing.assert_allclose(basis.array, [[s], [s]], rtol=1e-15)
 
     def test_three_vector_vs_qr_oracle(self):
         # Oracle: numpy's QR factorization of the same 3x3 candidate matrix.
-        cands = [fv("a", [1, 0, 0]), fv("b", [1, 1, 0]), fv("c", [1, 1, 1])]
+        cands = cols(a=[1, 0, 0], b=[1, 1, 0], c=[1, 1, 1])
         basis = orthonormalize(cands)
         assert basis.dropped_count == 0
-        assert len(basis.vectors) == 3
-        q_oracle, _ = np.linalg.qr(np.column_stack([c.values for c in cands]))
-        ours = basis.as_array()
+        ours = basis.array
+        assert ours.shape == (3, 3) and ours.flags.c_contiguous
+        q_oracle, _ = np.linalg.qr(cands.data)
         for j in range(3):
             # Columns agree up to sign.
             direction = np.sign(np.dot(q_oracle[:, j], ours[:, j]))
             np.testing.assert_allclose(ours[:, j], direction * q_oracle[:, j], atol=1e-12)
 
     def test_zero_vector_dropped(self):
-        basis = orthonormalize([fv("a", [1, 0]), fv("z", [0, 0])])
+        basis = orthonormalize(cols(a=[1, 0], z=[0, 0]))
         assert basis.dropped_count == 1
 
     def test_all_dropped_raises(self):
         with pytest.raises(DegenerateSubspaceError):
-            orthonormalize([fv("z1", [0, 0]), fv("z2", [0, 0])])
+            orthonormalize(cols(z1=[0, 0], z2=[0, 0]))
 
     def test_empty_raises(self):
+        # No candidate set can be empty, and no basis either.
+        with pytest.raises(DimensionError):
+            FeatureMatrix.from_arrays([], np.empty((3, 0)))
         with pytest.raises(DegenerateSubspaceError):
-            orthonormalize([])
+            ProjectionBasis(np.empty((3, 0)))
 
     def test_basis_invariants_random(self, rng):
         for _ in range(10):
             n = 60
-            cands = [fv(f"c{j}", rng.standard_normal(n)) for j in range(6)]
-            basis = orthonormalize(cands)
-            arr = basis.as_array()
-            gram = arr.T @ arr
-            off = gram - np.eye(arr.shape[1])
+            m = FeatureMatrix.from_arrays([f"c{j}" for j in range(6)], rng.standard_normal((n, 6)))
+            arr = orthonormalize(m).array
+            off = arr.T @ arr - np.eye(arr.shape[1])
             assert np.max(np.abs(off)) <= 1e-10 * n
-            for v in basis.vectors:
-                assert abs(v.norm - 1.0) <= 1e-10
+            np.testing.assert_allclose(np.linalg.norm(arr, axis=0), 1.0, rtol=0, atol=1e-10)
 
     def test_near_dependent_candidate_dropped(self, rng):
         base = rng.standard_normal(80)
         nearly = base * 3.0  # exactly dependent after scaling
-        basis = orthonormalize([fv("a", base), fv("b", nearly), fv("c", rng.standard_normal(80))])
+        basis = orthonormalize(cols(a=base, b=nearly, c=rng.standard_normal(80)))
         assert basis.dropped_count == 1
-        assert len(basis.vectors) == 2
+        assert basis.array.shape == (80, 2)
+
+    def test_input_left_unchanged(self, rng):
+        m = FeatureMatrix.from_arrays(["a", "b"], rng.standard_normal((20, 2)))
+        before = m.data.copy()
+        orthonormalize(m)
+        np.testing.assert_array_equal(m.data, before)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_norm_names_the_candidate(self, rng):
+        x = rng.standard_normal(40) * 1e100
+        with pytest.raises(DegenerateFeatureError, match="'x__pow2'"):
+            orthonormalize(cols(x=x, x__pow2=x**2))
 
 
 class TestProjectionBasisValidation:
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError, match="unit-norm"):
-            ProjectionBasis((fv("a", [2, 0]),))
+            ProjectionBasis(np.array([[2.0], [0.0]]))
+        with pytest.raises(ValueError, match="unit-norm"):
+            ProjectionBasis(np.array([[np.nan], [0.0]]))
 
     def test_rejects_non_orthogonal(self):
         s = 1 / np.sqrt(2)
         with pytest.raises(ValueError, match="orthogonal"):
-            ProjectionBasis((fv("a", [1, 0]), fv("b", [s, s])))
+            ProjectionBasis(np.array([[1.0, s], [0.0, s]]))
 
 
 class TestTransformAgainstFeature:
+    """project_against_basis: every other column projected off a removal
+    basis, in its own position."""
+
     def test_already_orthogonal_identity(self):
-        m = FeatureMatrix((fv("x1", [1, 0]), fv("x2", [0, 1])))
-        basis = orthonormalize([m.column("x1")])
-        out = transform_against_feature(m, "x1", basis)
-        assert out.names == ("x2",)
-        np.testing.assert_allclose(out.column("x2").values, [0, 1], atol=1e-15)
+        m = cols(x1=[1, 0], x2=[0, 1])
+        out, dropped = basis_route(m, "x1", own(m, "x1"))
+        assert out.shape == (2, 2) and dropped == 0
+        np.testing.assert_allclose(out[:, 1], [0, 1], atol=1e-15)
 
     def test_identical_columns_vanish(self):
-        m = FeatureMatrix((fv("x1", [1, 1]), fv("x2", [1, 1])))
-        basis = orthonormalize([m.column("x1")])
-        out = transform_against_feature(m, "x1", basis)
-        np.testing.assert_allclose(out.column("x2").values, [0, 0], atol=1e-12)
+        m = cols(x1=[1, 1], x2=[1, 1])
+        out, _ = basis_route(m, "x1", own(m, "x1"))
+        np.testing.assert_allclose(out[:, 1], [0, 0], atol=1e-12)
 
     def test_random_matrix_orthogonality_oracle(self, rng):
         # Direct dot-product oracle on a random 200x8 matrix.
         data = rng.standard_normal((200, 8))
         m = FeatureMatrix.from_arrays([f"x{j}" for j in range(8)], data)
-        basis = orthonormalize([m.column("x3")])
-        out = transform_against_feature(m, "x3", basis)
-        assert out.k == 7
-        for col in out.columns:
-            for q in basis.vectors:
-                bound = 1e-8 * max(col.norm * q.norm, 1e-300)
-                assert abs(float(np.dot(col.values, q.values))) <= bound
+        q = own(m, "x3").data[:, 0] / np.linalg.norm(data[:, 3])
+        out, _ = basis_route(m, "x3", own(m, "x3"))
+        for col in rest(out, m, "x3").T:
+            bound = 1e-8 * max(np.linalg.norm(col), 1e-300)
+            assert abs(float(np.dot(col, q))) <= bound
 
     def test_preserves_order_and_names(self, rng):
         data = rng.standard_normal((40, 5))
-        names = ["a", "b", "c", "d", "e"]
-        m = FeatureMatrix.from_arrays(names, data)
-        basis = orthonormalize([m.column("c")])
-        out = transform_against_feature(m, "c", basis)
-        assert out.names == ("a", "b", "d", "e")
+        m = FeatureMatrix.from_arrays(["a", "b", "c", "d", "e"], data)
+        out, _ = basis_route(m, "c", own(m, "c"))
+        for j in (0, 1, 3, 4):
+            expected = project_out(data[:, j], data[:, 2])
+            np.testing.assert_allclose(out[:, j], expected, rtol=0, atol=1e-12)
 
     def test_unknown_feature(self, rng):
         m = FeatureMatrix.from_arrays(["a", "b"], rng.standard_normal((10, 2)))
-        basis = orthonormalize([m.column("a")])
         with pytest.raises(FeatureLookupError):
-            transform_against_feature(m, "zz", basis)
+            basis_route(m, "zz", own(m, "a"))
 
     def test_single_column_matrix_rejected(self):
-        m = FeatureMatrix((fv("a", [1.0, 2.0]),))
-        basis = orthonormalize([m.column("a")])
+        m = cols(a=[1.0, 2.0])
         with pytest.raises(DimensionError):
-            transform_against_feature(m, "a", basis)
+            basis_route(m, "a", own(m, "a"))
+
+    def test_out_must_be_a_column_major_n_by_k_array(self, rng):
+        m = FeatureMatrix.from_arrays(["a", "b"], rng.standard_normal((10, 2)))
+        for out in (np.empty((10, 2)), np.empty((10, 1), order="F")):
+            with pytest.raises(DimensionError, match="Fortran-order 10 x 2"):
+                project_against_basis(m, "a", own(m, "a"), out)
+
+    @pytest.mark.parametrize("current", ["a", "c", "e"])
+    def test_matches_two_passes_on_the_remaining_columns(self, rng, current):
+        # Reference: two passes of D - B (B^T D) on a column-major copy of
+        # the other columns, as a standalone array. Equal to the last bit.
+        data = rng.standard_normal((301, 5))
+        m = FeatureMatrix.from_arrays(["a", "b", "c", "d", "e"], data)
+        x = m.data[:, m.index(current)]
+        cands = FeatureMatrix.from_arrays(["x", "x2", "x3"], np.column_stack([x, x**2, x**3]))
+        B = orthonormalize(cands).array
+        D = np.delete(m.data, m.index(current), axis=1)
+        D = D - np.matmul(B, B.T @ D, out=np.empty(D.shape, order="F"))
+        D -= np.matmul(B, B.T @ D, out=np.empty(D.shape, order="F"))
+        out, _ = basis_route(m, current, cands)
+        np.testing.assert_array_equal(rest(out, m, current), D)
 
 
 class TestTransformAgainstVector:
+    """project_against_vector: the single-vector route."""
+
     def test_matches_project_out_per_column(self, rng):
         data = rng.standard_normal((30, 4))
         m = FeatureMatrix.from_arrays(["a", "b", "c", "d"], data)
-        u = m.column("b")
-        out = transform_against_vector(m, "b", u)
-        assert out.names == ("a", "c", "d")
-        for name in out.names:
-            expected = project_out(m.column(name).values, u.values)
-            np.testing.assert_array_equal(out.column(name).values, expected)
+        out = vector_route(m, "b")
+        for j in (0, 2, 3):
+            expected = project_out(m.data[:, j], m.data[:, 1])  # contiguous columns
+            np.testing.assert_array_equal(out[:, j], expected)
 
     def test_orthogonal_design_unchanged(self):
-        m = FeatureMatrix((fv("x1", [1, 0, 0]), fv("x2", [0, 1, 0])))
-        out = transform_against_vector(m, "x1", m.column("x1"))
-        np.testing.assert_allclose(out.column("x2").values, [0, 1, 0], atol=1e-15)
+        m = cols(x1=[1, 0, 0], x2=[0, 1, 0])
+        out = vector_route(m, "x1")
+        np.testing.assert_allclose(out[:, 1], [0, 1, 0], atol=1e-15)

@@ -17,7 +17,7 @@ from oproj.errors import (
     DegenerateFeatureError,
     DimensionError,
 )
-from oproj.linalg import FeatureMatrix, FeatureVector
+from oproj.linalg import FeatureMatrix
 from oproj.ranking import (
     AuditConfig,
     AuditOutcome,
@@ -150,12 +150,7 @@ class TestAuditFeature:
         assert out.raw_delta == pytest.approx(expected, rel=1e-9)
 
     def test_constant_feature_rejected_without_standardize(self):
-        m = FeatureMatrix(
-            (
-                FeatureVector("flat", np.full(10, 2.0)),
-                FeatureVector("v", np.arange(10.0)),
-            )
-        )
+        m = matrix(np.column_stack([np.full(10, 2.0), np.arange(10.0)]), ["flat", "v"])
         h = InProcessModel(lambda a: a[:, 1])
         y = h.predict_batch(m)
         cfg = AuditConfig(standardize=False)
@@ -383,6 +378,58 @@ class TestRankAll:
         assert {e.name for e in scored} == {"x1", "x3"}
         assert scored[0].normalized == 100.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_removal_subspace_flagged_and_rest_audited(self, rng):
+        data = rng.standard_normal((80, 3))
+        data[:, 1] *= 1e100  # its square is finite, the square's norm is not
+        h = InProcessModel(lambda a: a @ np.array([2.0, 1.0, 0.5]))
+        m = matrix(data, ["a", "big", "c"])
+        report = rank_all(h, m, AuditConfig(standardize=False))
+        big = report.entry("big")
+        assert big.raw_delta is None
+        assert "feature 'big'" in big.error and "'big__pow2'" in big.error
+        scored = [e for e in report.entries if e.error is None]
+        assert {e.name for e in scored} == {"a", "c"}
+        assert scored[0].normalized == 100.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_metric_never_reaches_the_report(self, rng):
+        # (pred - y)**2 overflows for every audit of this matrix, so no
+        # delta is finite: either the audit fails by name, or whatever
+        # report it gives holds no NaN and tops out at exactly 100.
+        data = rng.standard_normal((80, 3))
+        data[:, 1] *= 1e160
+        h = InProcessModel(lambda a: a @ np.array([2.0, 1.0, 0.5]))
+        m = matrix(data, ["a", "big", "c"])
+        try:
+            report = rank_all(h, m, AuditConfig(standardize=False))
+        except AuditFailedError as exc:
+            assert "overflows" in str(exc)
+            return
+        scored = [e for e in report.entries if e.error is None]
+        assert all(np.isfinite([e.raw_delta, e.normalized]).all() for e in scored)
+        assert scored[0].normalized == 100.0
+
+    def test_overflowing_metric_flags_the_feature(self):
+        out = np.array([1.0, -1.0, 1e160])
+
+        class Model(InProcessModel):
+            def _predict(self, X):  # the reply overflows once x1 is replaced
+                return out if np.ptp(X.data[:, 0]) == 0.0 else np.zeros(3)
+
+        m = matrix([[1.0, 0.0], [2.0, 1.0], [4.0, 0.0]])
+        report = rank_all(Model(lambda a: a), m, AuditConfig(), y=np.zeros(3))
+        x1 = report.entry("x1")
+        assert x1.raw_delta is None and "feature 'x1'" in x1.error
+        assert "overflows" in x1.error
+        assert report.entry("x2").normalized == 0.0
+
+    def test_overflowing_baseline_fails_the_audit(self, rng):
+        m = matrix(rng.standard_normal((20, 2)))
+        h = InProcessModel(lambda a: a[:, 0])
+        with pytest.raises(AuditFailedError, match="baseline"):
+            rank_all(h, m, AuditConfig(), y=np.full(20, 1e200))
+
     def test_all_features_failing_raises(self, rng):
         data = rng.standard_normal((30, 2))
         m = matrix(data)
@@ -463,23 +510,20 @@ class TestRankAll:
 
         captured = h.predict_batch(m)
         baseline = metric_fn(captured, captured, cfg.metric)
-        X_std, maps = standardize(m)
+        X_std, offset, scale = standardize(m)
         raw_deltas = {}
-        for name in m.names:
-            j = X_std.index(name)
-            u = X_std.columns[j].values
+        for j, name in enumerate(m.names):
+            u = X_std.data[:, j]
             cols = []
-            for i, col in enumerate(m.columns):
+            for i in range(m.k):
                 if i == j:
-                    value = float(np.mean(col.values))
-                    cols.append(FeatureVector(col.name, np.full(m.n, value)))
+                    cols.append(np.full(m.n, float(np.mean(m.data[:, i]))))
                 else:
-                    v = X_std.columns[i].values
+                    v = X_std.data[:, i]
                     coef = float(np.dot(u, v)) / float(np.dot(u, u))
                     w = v - coef * u
-                    w = w * maps[i].scale + maps[i].offset
-                    cols.append(FeatureVector(col.name, w))
-            pred = h.predict_batch(FeatureMatrix(tuple(cols)))
+                    cols.append(w * scale[i] + offset[i])
+            pred = h.predict_batch(matrix(np.column_stack(cols), list(m.names)))
             raw_deltas[name] = abs(baseline - metric_fn(pred, captured, cfg.metric))
 
         for e in report.entries:
@@ -519,18 +563,18 @@ class TestLookahead:
         model = shlex.join([sys.executable, fixture, "stall", "x1"])
         script = f"echo $$ >> {shlex.quote(str(pidfile))}; exec {model}"
         h = SubprocessModel(SubprocessSpec(("sh", "-c", script), timeout=60.0))
-        assemble = ranking._assemble_query
+        build = ranking._build_query
 
-        def failing_second_build(prepared, idx, projected, cfg):
-            if idx == 1:
+        def failing_second_build(prepared, current, cfg):
+            if current == "x2":
                 # Let x1's model start before the build fails.
                 deadline = time.monotonic() + 10.0
                 while len(pidfile.read_text().split()) < 2 and time.monotonic() < deadline:
                     time.sleep(0.01)
                 raise RuntimeError("build failed")
-            return assemble(prepared, idx, projected, cfg)
+            return build(prepared, current, cfg)
 
-        monkeypatch.setattr(ranking, "_assemble_query", failing_second_build)
+        monkeypatch.setattr(ranking, "_build_query", failing_second_build)
         started = time.monotonic()
         with pytest.raises(RuntimeError, match="build failed"):
             rank_all(h, matrix(rng.standard_normal((20, 3))), AuditConfig())
@@ -546,13 +590,13 @@ class TestLookahead:
         # its reply is larger than a pipe buffer.
         command = tuple(fixture_command("linear_model.py").split())
         h = SubprocessModel(SubprocessSpec(command, timeout=2.0))
-        assemble = ranking._assemble_query
+        build = ranking._build_query
 
-        def slow_second_build(prepared, idx, projected, cfg):
-            if idx == 1:
+        def slow_second_build(prepared, current, cfg):
+            if current == "x2":
                 time.sleep(2.5)
-            return assemble(prepared, idx, projected, cfg)
+            return build(prepared, current, cfg)
 
-        monkeypatch.setattr(ranking, "_assemble_query", slow_second_build)
+        monkeypatch.setattr(ranking, "_build_query", slow_second_build)
         report = rank_all(h, matrix(rng.standard_normal((4000, 3))), AuditConfig())
         assert [e.error for e in report.entries] == [None, None, None]

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from oproj.adapters import InProcessModel
 from oproj.errors import DegenerateSubspaceError, FeatureLookupError
-from oproj.linalg import FeatureMatrix, FeatureVector, orthonormalize
-from oproj.transforms import TransformSet, build_removal_candidates, expand_feature
+from oproj.linalg import FeatureMatrix, orthonormalize
+from oproj.ranking import AuditConfig, audit_feature
+from oproj.transforms import TransformSet, removal_candidates
 
 
-def fv(name, values):
-    return FeatureVector(name, np.asarray(values, dtype=float))
+def cands(values, ts, name="x"):
+    return removal_candidates(name, np.asarray(values, dtype=float), ts)
 
 
 class TestTransformSet:
@@ -38,83 +40,78 @@ class TestTransformSet:
 
 
 class TestExpandFeature:
+    """The companions: every removal candidate after the feature itself."""
+
     def test_square_only(self):
-        out = expand_feature(fv("x", [1, 2, 3]), TransformSet(False, (2,), False))
-        assert len(out) == 1
-        assert out[0].name == "x__pow2"
-        np.testing.assert_array_equal(out[0].values, [1, 4, 9])
+        out = cands([1, 2, 3], TransformSet(False, (2,), False))
+        assert out.names == ("x", "x__pow2")
+        np.testing.assert_array_equal(out.data[:, 1], [1, 4, 9])
 
     def test_log_shifted(self):
-        out = expand_feature(fv("x", [0, 1]), TransformSet(True, (), False))
-        assert out[0].name == "x__log"
-        np.testing.assert_allclose(out[0].values, [math.log(1), math.log(2)], rtol=1e-15)
+        out = cands([0, 1], TransformSet(True, (), False))
+        assert out.names[1] == "x__log"
+        np.testing.assert_allclose(out.data[:, 1], [math.log(1), math.log(2)], rtol=1e-15)
 
     def test_exp_matches_scalar_oracle(self):
         # Oracle: per-element math.exp on the standardized values.
         vals = np.array([-1.0, 0.0, 1.0])
         std = (vals - vals.mean()) / vals.std()
-        out = expand_feature(fv("x", std), TransformSet(False, (), True, exp_clip=20.0))
-        assert out[0].name == "x__exp"
+        out = cands(std, TransformSet(False, (), True, exp_clip=20.0))
+        assert out.names[1] == "x__exp"
         expected = np.array([math.exp(v) for v in std])
-        np.testing.assert_allclose(out[0].values, expected, rtol=1e-15)
-        assert np.all(np.isfinite(out[0].values))
+        np.testing.assert_allclose(out.data[:, 1], expected, rtol=1e-15)
+        assert np.all(np.isfinite(out.data))
 
     def test_exp_clip_keeps_outputs_finite(self):
-        out = expand_feature(fv("x", [-1e6, 0.0, 1e6]), TransformSet(False, (), True))
-        assert np.all(np.isfinite(out[0].values))
-        assert out[0].values.max() == math.exp(20.0)
+        out = cands([-1e6, 0.0, 1e6], TransformSet(False, (), True))
+        assert np.all(np.isfinite(out.data))
+        assert out.data[:, 1].max() == math.exp(20.0)
 
     def test_fixed_order_and_count(self, rng):
-        x = fv("x", rng.standard_normal(20))
         ts = TransformSet(True, (2, 3), True)
-        out = expand_feature(x, ts)
-        assert [v.name for v in out] == ["x__log", "x__pow2", "x__pow3", "x__exp"]
-        assert len(out) == ts.count
+        out = cands(rng.standard_normal(20), ts)
+        assert out.names == ("x", "x__log", "x__pow2", "x__pow3", "x__exp")
+        assert out.k == 1 + ts.count
 
     def test_totality_on_nasty_inputs(self, rng):
         for _ in range(10):
-            x = fv("x", rng.standard_normal(30) * 1e3)
-            out = expand_feature(x, TransformSet())
-            for v in out:
-                assert np.all(np.isfinite(v.values))
+            out = cands(rng.standard_normal(30) * 1e3, TransformSet())
+            assert np.all(np.isfinite(out.data))
 
     def test_count_property(self):
-        assert expand_feature(fv("x", [1, 2]), TransformSet.none()) == []
-        assert len(expand_feature(fv("x", [1, 2]), TransformSet(True, (2,), False))) == 2
+        assert cands([1, 2], TransformSet.none()).k == 1
+        assert cands([1, 2], TransformSet(True, (2,), False)).k == 3
 
 
 class TestBuildRemovalCandidates:
     def test_all_disabled_reduces_to_feature_alone(self, rng):
         m = FeatureMatrix.from_arrays(["a", "b"], rng.standard_normal((10, 2)))
-        cands = build_removal_candidates(m, "a", TransformSet.none())
-        assert len(cands) == 1
-        np.testing.assert_array_equal(cands[0].values, m.column("a").values)
+        out = removal_candidates("a", m.data[:, 0], TransformSet.none())
+        assert out.names == ("a",)
+        np.testing.assert_array_equal(out.data[:, 0], m.data[:, 0])
 
     def test_concatenation_order(self):
-        m = FeatureMatrix((fv("x", [1, 2, 3]), fv("y", [4, 5, 6])))
-        cands = build_removal_candidates(m, "x", TransformSet(False, (2,), False))
-        assert [c.name for c in cands] == ["x", "x__pow2"]
-        np.testing.assert_array_equal(cands[1].values, [1, 4, 9])
+        out = cands([1, 2, 3], TransformSet(False, (2,), False))
+        assert out.names == ("x", "x__pow2")
+        np.testing.assert_array_equal(out.data, [[1, 1], [2, 4], [3, 9]])
+        assert out.data.flags.f_contiguous and not out.data.flags.writeable
 
     def test_unknown_feature(self):
-        m = FeatureMatrix((fv("x", [1, 2]),))
+        m = FeatureMatrix.from_arrays(["x"], np.array([[1.0], [2.0]]))
+        model = InProcessModel(lambda a: a[:, 0])
         with pytest.raises(FeatureLookupError):
-            build_removal_candidates(m, "zz", TransformSet())
+            audit_feature(model, m, [1.0, 2.0], "zz", AuditConfig(), 0.0)
 
     def test_constant_column_rank_oracle(self):
         # Oracle: the candidate stack of a constant column has matrix rank 1,
         # so all but one candidate must be dropped downstream.
-        m = FeatureMatrix((fv("c", [5.0, 5.0, 5.0]), fv("d", [1.0, 2.0, 3.0])))
-        cands = build_removal_candidates(m, "c", TransformSet())
-        stacked = np.column_stack([c.values for c in cands])
-        rank = np.linalg.matrix_rank(stacked)
-        assert rank == 1
-        basis = orthonormalize(cands)
-        assert basis.dropped_count == len(cands) - 1
-        assert len(basis.vectors) == 1
+        out = cands([5.0, 5.0, 5.0], TransformSet(), name="c")
+        assert np.linalg.matrix_rank(out.data) == 1
+        basis = orthonormalize(out)
+        assert basis.dropped_count == out.k - 1
+        assert basis.array.shape == (3, 1)
 
     def test_zero_column_with_no_transforms_degenerate(self):
-        m = FeatureMatrix((fv("z", [0.0, 0.0]), fv("d", [1.0, 2.0])))
-        cands = build_removal_candidates(m, "z", TransformSet.none())
+        out = cands([0.0, 0.0], TransformSet.none(), name="z")
         with pytest.raises(DegenerateSubspaceError):
-            orthonormalize(cands)
+            orthonormalize(out)
