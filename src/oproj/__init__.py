@@ -41,9 +41,9 @@ from .linalg import (
     FeatureMatrix,
     ProjectionBasis,
     orthonormalize,
-    project_against_basis,
-    project_against_vector,
     project_out,
+    transform_against_feature,
+    transform_against_vector,
 )
 from .oracle import loco_refit_importances, spearman_rank_correlation
 from .ranking import (
@@ -78,6 +78,6 @@ from .surrogate import (
     surrogate_handle,
     train_surrogate,
 )
-from .transforms import TransformSet, removal_candidates
+from .transforms import TransformSet, build_removal_candidates
 
 __version__ = "0.1.0"

@@ -240,7 +240,7 @@ def load_csv(
     # The parsed cells dominate peak memory; free them before the matrix
     # gets its one (column-major) array.
     del rows, raw_columns
-    return FeatureMatrix(names, np.array(columns).T), target
+    return FeatureMatrix._adopt(names, np.array(columns).T), target
 
 
 def save_csv(
@@ -303,7 +303,7 @@ def standardize(X: FeatureMatrix) -> tuple[FeatureMatrix, np.ndarray, np.ndarray
         out[:, j] = z - resid_mean
         offset[j] = mean + sd * resid_mean
         scale[j] = sd
-    return FeatureMatrix(X.names, out), offset, scale
+    return FeatureMatrix._adopt(X.names, out), offset, scale
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Dense column arithmetic and orthogonal projection.
 
-All arithmetic is float64, and inputs are never mutated. The projection
-routes write into an n x k buffer that the caller hands them: the audit
-query in the making, with the audited column left for the caller to fill.
+All arithmetic is float64, and inputs are never mutated. The two
+transformations write into an n x k buffer that the caller hands them: the
+audit query in the making, with the audited column left for the caller to
+fill.
 """
 
 from __future__ import annotations
@@ -35,18 +36,43 @@ class FeatureMatrix:
     column-major, so every column is a contiguous view and per-column
     arithmetic sums in the same order as on a standalone vector.
 
-    The constructor wraps a finite, Fortran-order float64 array without
-    copying it and makes it read-only, so the caller must hold no other
-    writable reference to it. Outside data comes in through ``from_arrays``
-    or ``load_csv``, which check finiteness; companions are checked where
-    they are made (``removal_candidates``). Matrices derived from these are
-    not checked again.
+    ``FeatureMatrix(names, data)`` copies an n x k array whose columns line
+    up with ``names`` and checks that every value is finite. ``load_csv``
+    checks its cells as it parses them. Matrices the package derives from
+    these (standardized data, removal candidates, audit queries) wrap their
+    fresh arrays without a copy or a second check.
     """
 
     __slots__ = ("names", "data")
 
     def __init__(self, names: Sequence[str], data: np.ndarray):
         names = tuple(names)
+        arr = np.array(data, dtype=np.float64, order="F")
+        if arr.ndim != 2:
+            raise DimensionError(f"expected a 2-D array, got shape {arr.shape}")
+        if arr.shape[1] != len(names):
+            raise DimensionError(f"{len(names)} names for {arr.shape[1]} columns")
+        finite = np.isfinite(arr).all(axis=0)
+        if not finite.all():
+            bad = names[int(np.argmin(finite))]
+            raise ValueError(f"feature '{bad}' contains non-finite entries")
+        self._init(names, arr)
+
+    @classmethod
+    def from_arrays(cls, names: Sequence[str], data: np.ndarray) -> "FeatureMatrix":
+        """The constructor under another name: copy and check ``data``."""
+        return cls(names, data)
+
+    @classmethod
+    def _adopt(cls, names: Sequence[str], data: np.ndarray) -> "FeatureMatrix":
+        """Wrap a fresh Fortran-order float64 n x k array without copying
+        it or checking its values, and make it read-only. The caller must
+        hold no other writable reference to it."""
+        matrix = object.__new__(cls)
+        matrix._init(tuple(names), data)
+        return matrix
+
+    def _init(self, names: tuple[str, ...], data: np.ndarray) -> None:
         if data.shape[1] < 1:
             raise DimensionError("matrix needs at least one column")
         if data.shape[0] < 2:
@@ -61,19 +87,9 @@ class FeatureMatrix:
     def __setattr__(self, name, value):
         raise AttributeError(f"FeatureMatrix is immutable; cannot set '{name}'")
 
-    @classmethod
-    def from_arrays(cls, names: Sequence[str], data: np.ndarray) -> "FeatureMatrix":
-        """Copy an n x k array whose columns line up with ``names``."""
-        arr = np.array(data, dtype=np.float64, order="F")
-        if arr.ndim != 2:
-            raise DimensionError(f"expected a 2-D array, got shape {arr.shape}")
-        if arr.shape[1] != len(names):
-            raise DimensionError(f"{len(names)} names for {arr.shape[1]} columns")
-        finite = np.isfinite(arr).all(axis=0)
-        if not finite.all():
-            bad = names[int(np.argmin(finite))]
-            raise ValueError(f"feature '{bad}' contains non-finite entries")
-        return cls(names, arr)
+    def __len__(self) -> int:
+        """The number of columns: a matrix is a sequence of named columns."""
+        return self.data.shape[1]
 
     @property
     def n(self) -> int:
@@ -96,12 +112,12 @@ class FeatureMatrix:
         return np.array(self.data, order="C")
 
     def take_rows(self, rows: np.ndarray) -> "FeatureMatrix":
-        return FeatureMatrix(self.names, np.asfortranarray(self.data[rows]))
+        return FeatureMatrix._adopt(self.names, np.asfortranarray(self.data[rows]))
 
     def drop(self, name: str) -> "FeatureMatrix":
         idx = self.index(name)
         names = self.names[:idx] + self.names[idx + 1 :]
-        return FeatureMatrix(names, np.delete(self.data, idx, axis=1))
+        return FeatureMatrix._adopt(names, np.delete(self.data, idx, axis=1))
 
 
 @dataclass(frozen=True)
@@ -128,11 +144,16 @@ class ProjectionBasis:
             raise ValueError("basis vectors are not mutually orthogonal")
         object.__setattr__(self, "array", arr)
 
+    @property
+    def vectors(self) -> np.ndarray:
+        """The r basis vectors, one per row: a view of ``array``."""
+        return self.array.T
+
 
 def project_out(v: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Component of ``v`` orthogonal to ``u``: v - (u.v / u.u) u.
 
-    ``u`` must not be numerically zero; project_against_vector checks
+    ``u`` must not be numerically zero; transform_against_vector checks
     that before projecting any column.
     """
     coef = float(np.dot(u, v)) / float(np.dot(u, u))
@@ -191,20 +212,17 @@ def _rest_index(X: FeatureMatrix, current: str, out: np.ndarray) -> int:
     return idx
 
 
-def project_against_basis(
-    X: FeatureMatrix,
-    current: str,
-    candidates: FeatureMatrix,
-    out: np.ndarray,
-    drop_tol: float = DEFAULT_DROP_TOL,
-) -> int:
+def transform_against_feature(
+    X: FeatureMatrix, current: str, basis: ProjectionBasis, out: np.ndarray
+) -> None:
     """Project every column of X but ``current`` onto the orthogonal
-    complement of span(candidates), into the same column of ``out``, a
+    complement of span(basis), into the same column of ``out``, a
     Fortran-order n x k array. Column ``current`` of ``out`` is left for
-    the caller. Returns the basis's ``dropped_count``.
+    the caller.
     """
     idx = _rest_index(X, current, out)
-    basis = orthonormalize(candidates, drop_tol)
+    if basis.array.shape[0] != X.n:
+        raise DimensionError(f"basis length {basis.array.shape[0]} does not match {X.n} rows")
     B = basis.array
     # Project on the first k-1 columns, a contiguous block laid out like a
     # copy of X without column ``current``. Two passes: the second removes
@@ -219,14 +237,14 @@ def project_against_basis(
     # Shift the columns after ``current`` one place right, last first.
     for j in range(X.k - 1, idx, -1):
         out[:, j] = out[:, j - 1]
-    return basis.dropped_count
 
 
-def project_against_vector(X: FeatureMatrix, current: str, out: np.ndarray) -> None:
+def transform_against_vector(X: FeatureMatrix, current: str, out: np.ndarray) -> None:
     """Single-vector removal: apply project_out(col, u) to every column but
     ``current``, with u the column ``current`` itself, writing into ``out``
-    as project_against_basis does. This is the linear-only transformation;
-    the basis route reduces to it when no nonlinear companions are enabled.
+    as transform_against_feature does. This is the linear-only
+    transformation; the basis route reduces to it when no nonlinear
+    companions are enabled.
     """
     idx = _rest_index(X, current, out)
     u = X.data[:, idx]

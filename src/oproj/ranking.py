@@ -23,8 +23,13 @@ from .errors import (
     DegenerateSubspaceError,
     DimensionError,
 )
-from .linalg import FeatureMatrix, project_against_basis, project_against_vector
-from .transforms import TransformSet, removal_candidates
+from .linalg import (
+    FeatureMatrix,
+    orthonormalize,
+    transform_against_feature,
+    transform_against_vector,
+)
+from .transforms import TransformSet, build_removal_candidates
 
 REPLACEMENT_POLICIES = ("mean", "zero", "constant")
 METRIC_KINDS = ("mse", "accuracy")
@@ -186,16 +191,16 @@ def _build_query(
     dropped = 0
     if raw.k > 1:
         try:
-            if cfg.transforms.count == 0:
+            candidates = build_removal_candidates(audit, current, cfg.transforms)
+            if len(candidates) == 1:
                 # Pure linear removal: identical arithmetic to projecting
                 # against the raw vector, so transform-free runs reduce
                 # exactly to the single-vector algorithm.
-                project_against_vector(audit, current, query)
+                transform_against_vector(audit, current, query)
             else:
-                candidates = removal_candidates(current, audit.data[:, idx], cfg.transforms)
-                dropped = project_against_basis(
-                    audit, current, candidates, query, cfg.drop_tol
-                )
+                basis = orthonormalize(candidates, cfg.drop_tol)
+                dropped = basis.dropped_count
+                transform_against_feature(audit, current, basis, query)
         except (DegenerateFeatureError, DegenerateSubspaceError) as exc:
             raise type(exc)(f"feature '{current}': {exc}") from exc
         if prepared.scale is not None:
@@ -206,7 +211,7 @@ def _build_query(
                 block *= prepared.scale[cols]
                 block += prepared.offset[cols]
     query[:, idx] = _replacement_value(raw.data[:, idx], cfg)
-    return FeatureMatrix(raw.names, query), dropped
+    return FeatureMatrix._adopt(raw.names, query), dropped
 
 
 @dataclass(frozen=True)

@@ -47,15 +47,18 @@ class TransformSet:
         return int(self.enable_log) + len(self.poly_degrees) + int(self.enable_exp)
 
 
-def removal_candidates(name: str, x: np.ndarray, ts: TransformSet) -> FeatureMatrix:
+def build_removal_candidates(
+    X: FeatureMatrix, current: str, ts: TransformSet
+) -> FeatureMatrix:
     """The columns whose span gets projected out when auditing feature
-    ``name`` with values ``x``: x itself, then its enabled transforms in
+    ``current`` of X: the feature itself, then its enabled transforms in
     fixed order (log, polynomials by ascending degree, exp), each named
     ``<feature>__<transform>``.
 
     A transform that overflows (a cube of values near 1e120, say) raises
     DegenerateFeatureError naming the feature and the transform.
     """
+    x = X.data[:, X.index(current)]
     companions: list[tuple[str, np.ndarray]] = []
     with np.errstate(over="ignore"):
         if ts.enable_log:
@@ -68,9 +71,9 @@ def removal_candidates(name: str, x: np.ndarray, ts: TransformSet) -> FeatureMat
     for transform, values in companions:
         if not np.isfinite(values).all():
             raise DegenerateFeatureError(
-                f"transform '{transform}' of '{name}' overflows to non-finite "
+                f"transform '{transform}' of '{current}' overflows to non-finite "
                 "values; standardize the data or drop the transform"
             )
-    names = [name, *(f"{name}__{t}" for t, _ in companions)]
-    # k rows of n, transposed: the column-major layout FeatureMatrix keeps.
-    return FeatureMatrix(names, np.array([x, *(v for _, v in companions)]).T)
+    names = [current, *(f"{current}__{t}" for t, _ in companions)]
+    # c rows of n, transposed: the column-major layout FeatureMatrix keeps.
+    return FeatureMatrix._adopt(names, np.array([x, *(v for _, v in companions)]).T)

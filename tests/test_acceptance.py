@@ -19,7 +19,7 @@ import pytest
 from oproj.adapters import InProcessModel
 from oproj.cli import main
 from oproj.dataio import SyntheticSpec, generate_synthetic, standardize
-from oproj.linalg import FeatureMatrix, orthonormalize, project_against_basis
+from oproj.linalg import FeatureMatrix, orthonormalize, transform_against_feature
 from oproj.oracle import loco_refit_importances, spearman_rank_correlation
 from oproj.ranking import (
     AuditConfig,
@@ -29,7 +29,7 @@ from oproj.ranking import (
     rank_all,
 )
 from oproj.surrogate import fit_ridge, train_surrogate
-from oproj.transforms import TransformSet, removal_candidates
+from oproj.transforms import TransformSet, build_removal_candidates
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -67,10 +67,10 @@ def test_criterion_1_orthogonality_suite():
         data = np.random.default_rng(seed).standard_normal((200, 8))
         m = standardize(matrix(data))[0]
         for j, name in enumerate(m.names):
-            candidates = removal_candidates(name, m.data[:, j], ts)
-            basis_arr = orthonormalize(candidates).array
+            basis = orthonormalize(build_removal_candidates(m, name, ts))
+            basis_arr = basis.array
             out = np.empty((200, 8), order="F")
-            project_against_basis(m, name, candidates, out)
+            transform_against_feature(m, name, basis, out)
             out_arr = np.delete(out, j, axis=1)  # column j is the caller's
             dots = np.abs(out_arr.T @ basis_arr)
             bounds = 1e-8 * np.outer(

@@ -14,12 +14,10 @@ from oproj.linalg import (
     FeatureMatrix,
     ProjectionBasis,
     orthonormalize,
-    project_against_basis,
-    project_against_vector,
     project_out,
+    transform_against_feature,
+    transform_against_vector,
 )
-from oproj.ranking import AuditConfig, _build_query, _prepare
-from oproj.transforms import TransformSet
 
 
 def cols(**columns):
@@ -34,13 +32,16 @@ def own(m, name):
 
 
 def basis_route(m, name, candidates):
+    """The projected columns, and the count of candidates the basis dropped."""
+    basis = orthonormalize(candidates)
     out = np.empty(m.data.shape, order="F")
-    return out, project_against_basis(m, name, candidates, out)
+    transform_against_feature(m, name, basis, out)
+    return out, basis.dropped_count
 
 
 def vector_route(m, name):
     out = np.empty(m.data.shape, order="F")
-    project_against_vector(m, name, out)
+    transform_against_vector(m, name, out)
     return out
 
 
@@ -66,6 +67,21 @@ class TestFeatureMatrix:
         with pytest.raises(DimensionError, match="2-D"):
             FeatureMatrix.from_arrays(["a"], np.zeros(3))
 
+    def test_constructor_checks_like_from_arrays(self):
+        with pytest.raises(DimensionError, match="1 names for 3 columns"):
+            FeatureMatrix(["a"], np.zeros((5, 3)))
+        with pytest.raises(DimensionError, match="2-D"):
+            FeatureMatrix(["a"], np.zeros(5))
+        with pytest.raises(ValueError, match="feature 'b' contains non-finite"):
+            FeatureMatrix(["a", "b"], np.array([[1.0, np.nan], [2.0, 3.0]]))
+
+    def test_constructor_copies_into_a_column_major_array(self):
+        data = np.arange(6.0).reshape(3, 2)  # row-major
+        m = FeatureMatrix(["a", "b"], data)
+        assert m.data.flags.f_contiguous and not m.data.flags.writeable
+        assert data.flags.writeable and not np.shares_memory(m.data, data)
+        np.testing.assert_array_equal(m.data, data)
+
     def test_lookup_error_names_feature(self):
         m = cols(a=[1, 2])
         with pytest.raises(FeatureLookupError, match="'zz'"):
@@ -76,7 +92,7 @@ class TestFeatureMatrix:
         m = FeatureMatrix.from_arrays(["a", "b", "c"], data)
         np.testing.assert_array_equal(m.as_array(), data)
         assert m.names == ("a", "b", "c")
-        assert (m.n, m.k) == (10, 3)
+        assert (m.n, m.k, len(m)) == (10, 3, 3)
 
 
 def _built_by(how, tmp_path):
@@ -94,11 +110,14 @@ def _built_by(how, tmp_path):
         return m.take_rows(np.array([5, 0, 7]))
     if how == "drop":
         return m.drop("b")
-    # The audit query that removes "a", built by the basis route
-    # ("transform_against_feature") or the single-vector route.
-    ts = TransformSet() if how == "transform_against_feature" else TransformSet.none()
-    cfg = AuditConfig(transforms=ts)
-    return _build_query(_prepare(m, cfg), "a", cfg)[0]
+    # A query that removes "a" (its column left unset), wrapped as the
+    # audit wraps it.
+    if how == "transform_against_feature":
+        x = m.data[:, 0]
+        out = basis_route(m, "a", cols(a=x, a__pow2=x**2))[0]
+    else:
+        out = vector_route(m, "a")
+    return FeatureMatrix._adopt(m.names, out)
 
 
 class TestStorageContract:
@@ -230,6 +249,7 @@ class TestOrthonormalize:
         basis = orthonormalize(cols(a=[1, 0], b=[0, 2]))
         assert basis.dropped_count == 0
         np.testing.assert_allclose(basis.array, [[1, 0], [0, 1]], atol=1e-15)
+        assert len(basis.vectors) == 2
 
     def test_duplicate_direction_dropped(self):
         basis = orthonormalize(cols(a=[1, 1], b=[2, 2]))
@@ -280,6 +300,7 @@ class TestOrthonormalize:
         basis = orthonormalize(cols(a=base, b=nearly, c=rng.standard_normal(80)))
         assert basis.dropped_count == 1
         assert basis.array.shape == (80, 2)
+        np.testing.assert_array_equal(basis.vectors, basis.array.T)
 
     def test_input_left_unchanged(self, rng):
         m = FeatureMatrix.from_arrays(["a", "b"], rng.standard_normal((20, 2)))
@@ -308,8 +329,8 @@ class TestProjectionBasisValidation:
 
 
 class TestTransformAgainstFeature:
-    """project_against_basis: every other column projected off a removal
-    basis, in its own position."""
+    """Every other column projected off a removal basis, in its own
+    position."""
 
     def test_already_orthogonal_identity(self):
         m = cols(x1=[1, 0], x2=[0, 1])
@@ -350,11 +371,17 @@ class TestTransformAgainstFeature:
         with pytest.raises(DimensionError):
             basis_route(m, "a", own(m, "a"))
 
+    def test_basis_length_must_match(self, rng):
+        m = FeatureMatrix.from_arrays(["a", "b"], rng.standard_normal((10, 2)))
+        basis = orthonormalize(FeatureMatrix.from_arrays(["u"], np.ones((9, 1))))
+        with pytest.raises(DimensionError, match="basis length 9"):
+            transform_against_feature(m, "a", basis, np.empty((10, 2), order="F"))
+
     def test_out_must_be_a_column_major_n_by_k_array(self, rng):
         m = FeatureMatrix.from_arrays(["a", "b"], rng.standard_normal((10, 2)))
         for out in (np.empty((10, 2)), np.empty((10, 1), order="F")):
             with pytest.raises(DimensionError, match="Fortran-order 10 x 2"):
-                project_against_basis(m, "a", own(m, "a"), out)
+                transform_against_feature(m, "a", orthonormalize(own(m, "a")), out)
 
     @pytest.mark.parametrize("current", ["a", "c", "e"])
     def test_matches_two_passes_on_the_remaining_columns(self, rng, current):
@@ -373,7 +400,7 @@ class TestTransformAgainstFeature:
 
 
 class TestTransformAgainstVector:
-    """project_against_vector: the single-vector route."""
+    """The single-vector route."""
 
     def test_matches_project_out_per_column(self, rng):
         data = rng.standard_normal((30, 4))

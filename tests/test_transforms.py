@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from oproj.adapters import InProcessModel
 from oproj.errors import DegenerateSubspaceError, FeatureLookupError
 from oproj.linalg import FeatureMatrix, orthonormalize
-from oproj.ranking import AuditConfig, audit_feature
-from oproj.transforms import TransformSet, removal_candidates
+from oproj.transforms import TransformSet, build_removal_candidates
 
 
 def cands(values, ts, name="x"):
-    return removal_candidates(name, np.asarray(values, dtype=float), ts)
+    values = np.asarray(values, dtype=float)[:, None]
+    return build_removal_candidates(FeatureMatrix.from_arrays([name], values), name, ts)
 
 
 class TestTransformSet:
@@ -80,13 +79,13 @@ class TestExpandFeature:
 
     def test_count_property(self):
         assert cands([1, 2], TransformSet.none()).k == 1
-        assert cands([1, 2], TransformSet(True, (2,), False)).k == 3
+        assert len(cands([1, 2], TransformSet(True, (2,), False))) == 3
 
 
 class TestBuildRemovalCandidates:
     def test_all_disabled_reduces_to_feature_alone(self, rng):
         m = FeatureMatrix.from_arrays(["a", "b"], rng.standard_normal((10, 2)))
-        out = removal_candidates("a", m.data[:, 0], TransformSet.none())
+        out = build_removal_candidates(m, "a", TransformSet.none())
         assert out.names == ("a",)
         np.testing.assert_array_equal(out.data[:, 0], m.data[:, 0])
 
@@ -98,9 +97,8 @@ class TestBuildRemovalCandidates:
 
     def test_unknown_feature(self):
         m = FeatureMatrix.from_arrays(["x"], np.array([[1.0], [2.0]]))
-        model = InProcessModel(lambda a: a[:, 0])
         with pytest.raises(FeatureLookupError):
-            audit_feature(model, m, [1.0, 2.0], "zz", AuditConfig(), 0.0)
+            build_removal_candidates(m, "zz", TransformSet())
 
     def test_constant_column_rank_oracle(self):
         # Oracle: the candidate stack of a constant column has matrix rank 1,
