@@ -31,6 +31,7 @@ from .errors import (
     MalformedOutputError,
     ModelExitError,
     ModelTimeoutError,
+    NonFiniteFitError,
     NonFinitePredictionError,
     OprojError,
     RowCountMismatchError,

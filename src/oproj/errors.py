@@ -41,6 +41,10 @@ class SingularSystemError(OprojError):
     """Normal equations are singular; a positive ridge penalty is required."""
 
 
+class NonFiniteFitError(OprojError):
+    """A surrogate's normal equations or fit overflow float64."""
+
+
 class AdapterError(OprojError):
     """Base class for black-box query failures. ``row`` is the offending
     zero-based data row where that is meaningful."""

@@ -150,13 +150,16 @@ class ProjectionBasis:
         return self.array.T
 
 
-def project_out(v: np.ndarray, u: np.ndarray) -> np.ndarray:
+def project_out(v: np.ndarray, u: np.ndarray, uu: float | None = None) -> np.ndarray:
     """Component of ``v`` orthogonal to ``u``: v - (u.v / u.u) u.
 
-    ``u`` must not be numerically zero; transform_against_vector checks
-    that before projecting any column.
+    ``uu`` is ``float(np.dot(u, u))``, for a caller that projects many
+    columns against one ``u``. ``u`` must not be numerically zero;
+    transform_against_vector checks that before projecting any column.
     """
-    coef = float(np.dot(u, v)) / float(np.dot(u, u))
+    if uu is None:
+        uu = float(np.dot(u, u))
+    coef = float(np.dot(u, v)) / uu
     return v - coef * u
 
 
@@ -253,6 +256,7 @@ def transform_against_vector(X: FeatureMatrix, current: str, out: np.ndarray) ->
         raise DegenerateFeatureError(
             f"cannot project against '{current}': norm {u_norm:.3e} is numerically zero"
         )
+    uu = float(np.dot(u, u))
     for j in range(X.k):
         if j != idx:
-            out[:, j] = project_out(X.data[:, j], u)
+            out[:, j] = project_out(X.data[:, j], u, uu)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adapters import InProcessModel, ModelHandle
-from .errors import DimensionError, SingularSystemError
+from .errors import DimensionError, NonFiniteFitError, SingularSystemError
 from .linalg import FeatureMatrix
 
 GRADIENT_TOL = 1e-6
@@ -89,7 +89,9 @@ def fit_ridge(X: FeatureMatrix | np.ndarray, y, lam: float = 1e-3) -> RidgeModel
 
     Minimizes ||y - (b + X w)||^2 + lam * ||w||^2; the intercept b is not
     penalized. A singular system (possible only at lam = 0) raises
-    SingularSystemError suggesting a positive penalty.
+    SingularSystemError suggesting a positive penalty. Normal equations or
+    a fit that overflow float64 (columns or targets beyond about 1e154)
+    raise NonFiniteFitError.
     """
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
@@ -106,8 +108,13 @@ def fit_ridge(X: FeatureMatrix | np.ndarray, y, lam: float = 1e-3) -> RidgeModel
     Z = np.column_stack([np.ones(n), A])
     penalty = np.full(k + 1, lam)
     penalty[0] = 0.0  # intercept unpenalized
-    gram = Z.T @ Z + np.diag(penalty)
-    rhs = Z.T @ y
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = Z.T @ Z + np.diag(penalty)
+        rhs = Z.T @ y
+    if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
+        raise NonFiniteFitError(
+            "ridge normal equations overflow float64; rescale the data or the target"
+        )
     try:
         L = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
@@ -115,15 +122,20 @@ def fit_ridge(X: FeatureMatrix | np.ndarray, y, lam: float = 1e-3) -> RidgeModel
             "normal equations are singular; retry with lam > 0"
         ) from exc
     w = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        fit_r2 = _r_squared(y, Z @ w)
+    if not (np.isfinite(w).all() and np.isfinite(fit_r2)):
+        raise NonFiniteFitError(
+            "ridge fit is not finite in float64; rescale the data or the target"
+        )
     intercept = float(w[0])
     coefficients = w[1:].copy()
     coefficients.flags.writeable = False
-    pred = Z @ w
     return RidgeModel(
         coefficients=coefficients,
         intercept=intercept,
         lam=float(lam),
-        fit_r2=_r_squared(y, pred),
+        fit_r2=fit_r2,
     )
 
 

@@ -335,3 +335,46 @@ def test_criterion_8_query_count_and_golden_report(tmp_path, monkeypatch):
         "\nACCEPTANCE 8 (query count + golden report): PASS "
         f"[{invocations} invocations, byte-stable report]"
     )
+
+
+def test_criterion_9_indirect_dependence_through_a_proxy():
+    """The model reads only x2; x1 is a proxy for it (sample correlation
+    r = corr(x1, x2)) and x3 is independent. Standardized, mean
+    replacement, no transforms: x2's raw delta is the population variance
+    of x2 and x1 scores exactly 100 r^2 (x3 likewise scores 100 corr(x3, x2)^2),
+    to rounding. Projection exposes the dependence on the proxy that
+    perturbing x1 alone would not. With all transforms each feature's
+    four companions take about 4/n of x2's variance by chance, so x1 stays
+    within 0.25 points of 100 r^2 and x3 under 0.25."""
+    n = 20000
+    worst_rel = 0.0
+    for rho in (0.3, 0.6, 0.9):
+        corr = np.eye(3)
+        corr[0, 1] = corr[1, 0] = rho
+        spec = SyntheticSpec(n=n, coefficients=(0.0, 1.0, 0.0), correlation=corr, seed=3)
+        X, _, _ = generate_synthetic(spec)
+        x1, x2, x3 = X.data.T
+        r12 = np.corrcoef(x1, x2)[0, 1]
+        r32 = np.corrcoef(x3, x2)[0, 1]
+        var2 = float(np.var(x2))
+        model = InProcessModel(lambda a: a[:, 1])
+
+        report = rank_all(model, X, AuditConfig(transforms=TransformSet.none()))
+        assert [e.name for e in report.entries] == ["x2", "x1", "x3"]
+        assert report.entry("x2").raw_delta == pytest.approx(var2, rel=1e-12)
+        assert report.entry("x1").normalized == pytest.approx(100 * r12**2, rel=1e-12)
+        assert report.entry("x3").normalized == pytest.approx(100 * r32**2, rel=1e-12)
+        assert report.entry("x3").normalized < 0.01
+        worst_rel = max(
+            worst_rel, abs(report.entry("x1").normalized / (100 * r12**2) - 1.0)
+        )
+
+        report = rank_all(model, X, AuditConfig())
+        assert report.entries[0].name == "x2"
+        assert report.entry("x2").raw_delta == pytest.approx(var2, rel=1e-12)
+        assert abs(report.entry("x1").normalized - 100 * r12**2) <= 0.25
+        assert report.entry("x3").normalized <= 0.25
+    print(
+        "\nACCEPTANCE 9 (indirect dependence through a proxy): PASS "
+        f"[x1 == 100 r^2 to {worst_rel:.1e} relative, rho 0.3/0.6/0.9]"
+    )

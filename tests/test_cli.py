@@ -342,6 +342,28 @@ class TestAudit:
         assert doc["config"]["model"] == "surrogate:ridge"
         assert doc["entries"][0]["name"] == "x1"
 
+    def test_overflowing_ridge_surrogate_exit_1_without_report(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        data = rng.standard_normal((80, 3))
+        lines = ["a,big,target"] + [
+            f"{a!r},{b * 1e154 + 1e155!r},{a + 2 * t!r}" for a, b, t in data.tolist()
+        ]
+        csv = tmp_path / "big.csv"
+        csv.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        code = main(
+            [
+                "audit",
+                "--data", str(csv),
+                "--surrogate", "ridge",
+                "--target", "column:target",
+                "--out", str(out),
+            ]
+        )  # fmt: skip
+        assert code == 1
+        assert "ridge normal equations overflow float64" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_categorical_schema_groups(self, tmp_path):
         csv = tmp_path / "cat.csv"
         rng = np.random.default_rng(0)

@@ -120,11 +120,13 @@ def _per_cell_outcome(path, schema):
 NUMBERS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-(10**20), 10**20).map(str),
+    # Where an integer stops being exact in float64, int64 or uint64.
+    st.sampled_from([2**53 + 1, -(2**53 + 1), 2**63, -(2**63), 2**64, -(2**64)]).map(str),
 )
 ODD_CELLS = st.sampled_from(
     ["nan", "inf", "-inf", "1_0", "1e400", "-0.0", "+.5", "5.", " 2 ", "\t3",
      '"1.5"', '"1,5"', ' "2"', '"2" ', '"2"x', '""', "", "#3", "0x10", "1d3",
-     "a", "\u0661\u0662", '"1\n2"', "3,4"]
+     "a", "\u0661\u0662", '"1\n2"', "3,4", "-0", " -0 ", "1E5", "-0e0"]
 )  # fmt: skip
 CELLS = st.one_of(NUMBERS, NUMBERS, NUMBERS, NUMBERS, ODD_CELLS)
 ROLES = st.sampled_from(["feature", "feature", "target", "ignore", "categorical"])
@@ -146,6 +148,8 @@ def csv_files(draw):
         lines.insert(draw(st.integers(1, len(lines))), "")
     newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = newline.join(lines) + (newline if draw(st.booleans()) else "")
+    # A tiny block puts every line in a block of its own.
+    block_bytes = draw(st.sampled_from([1, dataio._BLOCK_BYTES]))
     schema = DatasetSchema(
         {
             h: ColumnSpec(role="feature", kind="categorical")
@@ -154,14 +158,15 @@ def csv_files(draw):
             for h, r in zip(header, roles)
         }
     )
-    return text, schema
+    return text, schema, block_bytes
 
 
 @settings(max_examples=300, deadline=None)
 @given(csv_files())
 def test_bulk_load_matches_per_cell_hypothesis(case):
-    text, schema = case
-    with tempfile.TemporaryDirectory() as tmp:
+    text, schema, block_bytes = case
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataio, "_BLOCK_BYTES", block_bytes)
         path = Path(tmp) / "d.csv"
         path.write_bytes(text.encode("utf-8"))
         assert _load_outcome(path, schema) == _per_cell_outcome(path, schema)
@@ -195,6 +200,89 @@ class TestBulkLoad:
         p = tmp_path / "d.csv"
         p.write_text("a,b\n" + body)
         assert dataio._parse_numeric_bulk(p, 1, [0, 1], 2) is None
+
+
+def _numeric_csv(path, rows, rng):
+    """A header plus ``rows`` x 3 shortest round-trip decimals; one row is
+    about 60 bytes, so 5000 rows span several blocks."""
+    data = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-5, 6, (rows, 3))
+    lines = ["a,b,c"] + [",".join(map(repr, row)) for row in data.tolist()]
+    path.write_text("\n".join(lines) + "\n")
+    return data
+
+
+class TestNumberBlocks:
+    def test_many_blocks_match_loadtxt_bit_for_bit(self, tmp_path, rng):
+        p = tmp_path / "d.csv"
+        data = _numeric_csv(p, 5000, rng)
+        assert p.stat().st_size > 2 * dataio._BLOCK_BYTES
+        parsed = dataio._parse_number_blocks(p, 1, 3)
+        assert parsed.tobytes() == data.tobytes()
+        assert parsed.tobytes() == np.loadtxt(p, delimiter=",", skiprows=1).tobytes()
+
+    @pytest.mark.parametrize(
+        "body, values",
+        [
+            ("1E5,-0.0,-0e0\r\n 2 ,\t3,4\r\n", [[1e5, -0.0, -0.0], [2.0, 3.0, 4.0]]),
+            ("9007199254740993,18446744073709551616,-1e-5\n",
+             [[9007199254740992.0, 18446744073709551616.0, -1e-5]]),
+        ],
+        ids=["spellings", "large-integers"],
+    )  # fmt: skip
+    def test_parses_json_numbers(self, tmp_path, body, values):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"a,b,c\n" + body.encode())
+        parsed = dataio._parse_number_blocks(p, 1, 3)
+        assert parsed.tobytes() == np.array(values).tobytes()
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "1,-0,2\n",  # orjson reads an integer -0 as +0
+            "1,2, -0",
+            "1,2,\r3\n",  # the csv module splits at a bare CR
+            "1.,2,3\n",
+            "+1,2,3\n",
+            "1,2,3\n\n4,5,6\n",
+            "1,2\n",
+            "1,2,1e400\n",
+            '"1",2,3\n',
+        ],
+        ids=["int-minus-zero", "last-int-minus-zero", "bare-cr", "trailing-point",
+             "plus-sign", "blank-line", "short-row", "overflow", "quoted"],
+    )  # fmt: skip
+    def test_declines_what_json_reads_otherwise(self, tmp_path, body):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"a,b,c\n" + body.encode())
+        assert dataio._parse_number_blocks(p, 1, 3) is None
+
+    def test_declines_a_bare_cr_in_the_header(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"a,b,c\r1,2,3\n4,5,6\n")
+        assert dataio._parse_number_blocks(p, 1, 3) is None
+        X, _ = load_csv(p)
+        assert X.data.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+
+    def test_integer_minus_zero_keeps_its_sign(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("a,b\n-0,1\n2, -0 \n")
+        X, _ = load_csv(p)
+        assert np.signbit(X.data).tolist() == [[True, False], [False, True]]
+
+    @pytest.mark.parametrize("bad", ["foo", "nan", "", "1e400", "1.5.2"])
+    def test_bad_cell_in_last_block_names_its_row_and_column(self, tmp_path, rng, bad):
+        p = tmp_path / "d.csv"
+        _numeric_csv(p, 5000, rng)
+        lines = p.read_text().splitlines()
+        cells = lines[4998].split(",")
+        cells[1] = bad
+        lines[4998] = ",".join(cells)
+        p.write_text("\n".join(lines) + "\n")
+        assert len(p.read_bytes()) - p.read_text().index(lines[4998]) < dataio._BLOCK_BYTES
+        with pytest.raises(DataError) as info:
+            load_csv(p)
+        assert (info.value.row, info.value.column) == (4998, "b")
+        assert _load_outcome(p, DatasetSchema()) == _per_cell_outcome(p, DatasetSchema())
 
 
 class TestSaveCsv:
@@ -267,6 +355,30 @@ class TestStandardize:
         out, offset, scale = standardize(m)
         np.testing.assert_allclose((data - offset) / scale, out.data, rtol=0, atol=1e-12)
         np.testing.assert_allclose(out.data * scale + offset, data, rtol=1e-12, atol=1e-9)
+
+
+    @pytest.mark.filterwarnings("error")
+    def test_column_whose_squares_overflow_is_scaled_by_a_power_of_two(self, rng):
+        data = rng.standard_normal((80, 3))
+        data[:, 1] = data[:, 1] * 1e154 + 1e155
+        out, offset, scale = standardize(FeatureMatrix.from_arrays(["a", "big", "c"], data))
+        assert np.isfinite(out.data).all() and np.isfinite(offset).all()
+        assert np.isfinite(scale).all()
+        # The same bits as standardizing the column times 2**-e, with
+        # 2**e just above its largest magnitude.
+        e = int(np.frexp(np.max(np.abs(data[:, 1])))[1])
+        small, small_offset, small_scale = standardize(
+            FeatureMatrix.from_arrays(["big"], np.ldexp(data[:, [1]], -e))
+        )
+        assert out.data[:, 1].tobytes() == small.data[:, 0].tobytes()
+        assert offset[1] == np.ldexp(small_offset[0], e)
+        assert scale[1] == np.ldexp(small_scale[0], e)
+        # The other columns keep their bits.
+        rest, rest_offset, rest_scale = standardize(
+            FeatureMatrix.from_arrays(["a", "c"], data[:, [0, 2]])
+        )
+        assert out.data[:, [0, 2]].tobytes() == rest.data.tobytes()
+        assert (offset[[0, 2]] == rest_offset).all() and (scale[[0, 2]] == rest_scale).all()
 
 
 class TestSyntheticSpec:

@@ -393,6 +393,27 @@ class TestRankAll:
         assert scored[0].normalized == 100.0
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("transforms", [TransformSet(), TransformSet.none()])
+    def test_column_whose_squares_overflow_is_standardized_and_audited(
+        self, rng, transforms
+    ):
+        data = rng.standard_normal((80, 3))
+        data[:, 1] = data[:, 1] * 1e154 + 1e155  # its sd overflows float64
+        queries = []
+
+        def model(a):
+            queries.append(a.copy())
+            return a @ np.array([2.0, 1e-155, 0.5])
+
+        m = matrix(data, ["a", "big", "c"])
+        report = rank_all(InProcessModel(model), m, AuditConfig(transforms=transforms))
+        assert all(e.error is None for e in report.entries)
+        assert report.entry("big").raw_delta > 0.0
+        assert report.entries[0].normalized == 100.0
+        assert len(queries) == 4
+        assert all(np.isfinite(q).all() for q in queries)
+
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_metric_never_reaches_the_report(self, rng):
         # (pred - y)**2 overflows for every audit of this matrix, so no
         # delta is finite: either the audit fails by name, or whatever

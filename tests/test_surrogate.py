@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oproj.adapters import InProcessModel
-from oproj.errors import SingularSystemError
+from oproj.errors import NonFiniteFitError, SingularSystemError
 from oproj.linalg import FeatureMatrix
 from oproj.ranking import AuditConfig, rank_all
 from oproj.surrogate import (
@@ -108,6 +108,18 @@ class TestFitRidge:
         X = np.column_stack([x, x])  # exactly collinear
         with pytest.raises(SingularSystemError, match="lam > 0"):
             fit_ridge(matrix(X), x, lam=0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "column, target, message",
+        [(1e155, 1.0, "normal equations overflow"), (1.0, 1e200, "fit is not finite")],
+    )
+    def test_overflowing_fit_raises_by_name(self, rng, column, target, message):
+        data = rng.standard_normal((80, 3))
+        data[:, 1] = data[:, 1] * column
+        y = (data[:, 0] + 2.0 * data[:, 2]) * target
+        with pytest.raises(NonFiniteFitError, match=message):
+            fit_ridge(matrix(data), y)
 
     def test_underdetermined_warns(self, rng):
         X = rng.standard_normal((3, 5))
