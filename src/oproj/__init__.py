@@ -58,12 +58,8 @@ from .ranking import (
     rank_all,
 )
 from .report import (
-    GroupAggregate,
-    ReportDocument,
     aggregate_categorical_groups,
     build_document,
-    document_to_dict,
-    document_to_json,
     render_svg,
     write_csv,
     write_json,

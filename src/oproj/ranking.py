@@ -10,8 +10,6 @@ and records |baseline - new| as that feature's dependence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
-
 import numpy as np
 
 from .adapters import ModelHandle, capture_outputs
@@ -214,61 +212,31 @@ def _build_query(
     return FeatureMatrix._adopt(raw.names, query), dropped
 
 
-@dataclass(frozen=True)
-class _InFlight:
-    """A feature's launched query, waiting to be collected and scored."""
-
-    name: str
-    dropped_count: int
-    running: object
+# What a feature's audit flags instead of aborting the run.
+_AUDIT_ERRORS = (DegenerateFeatureError, DegenerateSubspaceError, AdapterError)
 
 
-def _named(exc: AdapterError, current: str) -> AdapterError:
-    return type(exc)(f"feature '{current}': {exc}", row=exc.row)
-
-
-def _launch_query(
-    model: ModelHandle,
-    prepared: _Prepared,
-    current: str,
-    cfg: AuditConfig,
-    finish_previous: Callable[[], None],
-) -> _InFlight:
-    """Build and prepare the query that removes ``current``, call
-    ``finish_previous``, then launch the query.
-
-    A subprocess model answers the previous query while this one is built
-    and encoded.
-    """
-    query, dropped = _build_query(prepared, current, cfg)
-    try:
-        encoded = model.prepare(query)
-        finish_previous()
-        return _InFlight(current, dropped, model.launch(encoded))
-    except AdapterError as exc:
-        raise _named(exc, current) from exc
+def _named(exc: Exception, current: str) -> Exception:
+    """``exc`` with the feature's name on it; the degenerate-feature errors
+    already carry it."""
+    if isinstance(exc, AdapterError):
+        return type(exc)(f"feature '{current}': {exc}", row=exc.row)
+    return exc
 
 
 def _score(
-    model: ModelHandle, flight: _InFlight, y: np.ndarray, cfg: AuditConfig, baseline: float
+    name: str, dropped_count: int, pred, y: np.ndarray, cfg: AuditConfig, baseline: float
 ) -> AuditOutcome:
-    """Collect a launched query and measure how far the metric moved."""
-    try:
-        pred = model.collect(flight.running)
-    except AdapterError as exc:
-        raise _named(exc, flight.name) from exc
+    """Measure how far the metric moved on a feature's query."""
     b_new = compute_metric(pred, y, cfg.metric)
     raw_delta = abs(baseline - b_new)
     if not np.isfinite(raw_delta):
         raise DegenerateFeatureError(
-            f"feature '{flight.name}': the metric overflows float64 "
+            f"feature '{name}': the metric overflows float64 "
             f"(b_new {b_new}); rescale the data"
         )
     return AuditOutcome(
-        name=flight.name,
-        raw_delta=raw_delta,
-        b_new=b_new,
-        dropped_count=flight.dropped_count,
+        name=name, raw_delta=raw_delta, b_new=b_new, dropped_count=dropped_count
     )
 
 
@@ -286,8 +254,12 @@ def audit_feature(
     raised with the feature name attached.
     """
     y = np.asarray(y, dtype=np.float64).reshape(-1)
-    flight = _launch_query(model, _prepare(X, cfg), current, cfg, lambda: None)
-    return _score(model, flight, y, cfg, baseline)
+    query, dropped = _build_query(_prepare(X, cfg), current, cfg)
+    try:
+        pred = model.predict_batch(query)
+    except AdapterError as exc:
+        raise _named(exc, current) from exc
+    return _score(current, dropped, pred, y, cfg, baseline)
 
 
 def _normalize_entries(
@@ -344,30 +316,38 @@ def rank_all(
 
     # One query of lookahead: feature j+1's query is built and encoded
     # while the model answers feature j's, and launched only once j's reply
-    # is collected, so one model runs at a time.
+    # is collected, so one model runs at a time. The last pass builds
+    # nothing and only collects.
     outcomes: list[AuditOutcome] = []
     errors: dict[str, str] = {}
-    flight: _InFlight | None = None
-
-    def finish_previous() -> None:
-        nonlocal flight
-        if flight is not None:
-            try:
-                outcomes.append(_score(model, flight, target, cfg, baseline))
-            except (DegenerateFeatureError, AdapterError) as exc:
-                errors[flight.name] = str(exc)
-            flight = None
-
+    flight = None  # (name, dropped count, running query) of feature j
     try:
-        for name in X.names:
-            try:
-                flight = _launch_query(model, prepared, name, cfg, finish_previous)
-            except (DegenerateFeatureError, DegenerateSubspaceError, AdapterError) as exc:
-                errors[name] = str(exc)
-        finish_previous()
+        for name in (*X.names, None):
+            encoded = None
+            if name is not None:
+                try:
+                    query, dropped = _build_query(prepared, name, cfg)
+                    encoded = model.prepare(query)
+                except _AUDIT_ERRORS as exc:
+                    errors[name] = str(_named(exc, name))
+            if flight is not None:
+                previous, previous_dropped, running = flight
+                try:
+                    pred = model.collect(running)
+                    outcomes.append(
+                        _score(previous, previous_dropped, pred, target, cfg, baseline)
+                    )
+                except _AUDIT_ERRORS as exc:
+                    errors[previous] = str(_named(exc, previous))
+                flight = None
+            if encoded is not None:
+                try:
+                    flight = (name, dropped, model.launch(encoded))
+                except _AUDIT_ERRORS as exc:
+                    errors[name] = str(_named(exc, name))
     finally:
         if flight is not None:
-            model.abort(flight.running)
+            model.abort(flight[2])
     if not outcomes:
         raise AuditFailedError(
             f"all {X.k} feature audits failed: {sorted(errors.values())}"

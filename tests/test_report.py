@@ -11,8 +11,6 @@ from oproj.ranking import AuditConfig, rank_all
 from oproj.report import (
     aggregate_categorical_groups,
     build_document,
-    document_to_dict,
-    document_to_json,
     render_svg,
     write_csv,
     write_json,
@@ -41,8 +39,7 @@ def make_doc(report, **kwargs):
 
 class TestJsonDocument:
     def test_payload_shape(self, sample_report):
-        doc = make_doc(sample_report)
-        payload = document_to_dict(doc)
+        payload = make_doc(sample_report)
         assert payload["format_version"] == "1"
         assert payload["baseline"] == 0.0
         assert payload["metric_kind"] == "mse"
@@ -53,22 +50,21 @@ class TestJsonDocument:
         assert payload["surrogate_fidelity"] is None
         assert payload["warnings"] == []
 
-    def test_json_round_trips(self, sample_report):
+    def test_json_round_trips(self, sample_report, tmp_path):
         doc = make_doc(sample_report)
-        text = document_to_json(doc)
-        parsed = json.loads(text)
-        assert parsed == document_to_dict(doc)
+        path = write_json(doc, tmp_path / "report.json")
+        assert json.loads(path.read_text()) == doc
 
     def test_payload_deterministic_except_timestamp(self, sample_report):
-        a = document_to_dict(make_doc(sample_report, generated_at="t1"))
-        b = document_to_dict(make_doc(sample_report, generated_at="t2"))
+        a = make_doc(sample_report, generated_at="t1")
+        b = make_doc(sample_report, generated_at="t2")
         a.pop("generated_at")
         b.pop("generated_at")
         assert a == b
 
     def test_fidelity_block(self, sample_report):
         fidelity = FidelityScore("r2", 0.998, split_seed=5, holdout_fraction=0.2, n_holdout=20)
-        payload = document_to_dict(make_doc(sample_report, fidelity=fidelity))
+        payload = make_doc(sample_report, fidelity=fidelity)
         assert payload["surrogate_fidelity"]["kind"] == "r2"
         assert payload["surrogate_fidelity"]["value"] == 0.998
 
@@ -141,7 +137,7 @@ class TestErroredEntries:
         assert "exploded" in row
 
     def test_json_nulls_with_message(self, flaky_report):
-        payload = document_to_dict(make_doc(flaky_report))
+        payload = make_doc(flaky_report)
         errored = [e for e in payload["entries"] if e["name"] == "b"][0]
         assert errored["raw_delta"] is None
         assert errored["normalized"] is None
@@ -154,10 +150,10 @@ class TestGroupAggregation:
         groups = aggregate_categorical_groups(sample_report, schema)
         assert len(groups) == 1
         g = groups[0]
-        assert g.source == "g"
-        assert set(g.levels) == {"g=F", "g=M"}
-        level_raw = [sample_report.entry(n).raw_delta for n in g.levels]
-        assert g.raw_delta_max == max(level_raw)
+        assert g["source"] == "g"
+        assert set(g["levels"]) == {"g=F", "g=M"}
+        level_raw = [sample_report.entry(n).raw_delta for n in g["levels"]]
+        assert g["raw_delta_max"] == max(level_raw)
 
     def test_no_categoricals_returns_none(self, sample_report):
         assert aggregate_categorical_groups(sample_report, DatasetSchema()) is None
