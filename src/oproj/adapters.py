@@ -26,6 +26,7 @@ import orjson
 
 from .errors import (
     AdapterError,
+    DataError,
     MalformedOutputError,
     ModelExitError,
     ModelTimeoutError,
@@ -140,6 +141,9 @@ class SubprocessSpec:
 # enough that a block's text stays small next to the matrix.
 _CSV_BLOCK_ROWS = 1024
 
+# Characters a header cell cannot hold, since the format has no quoting.
+_UNQUOTABLE = (",", '"', "\r", "\n")
+
 
 def format_matrix_csv(names: Sequence[str], data: np.ndarray, out: TextIO) -> None:
     """Write a header row and one CSV line per row of ``data`` to ``out``.
@@ -157,7 +161,16 @@ def format_matrix_csv(names: Sequence[str], data: np.ndarray, out: TextIO) -> No
     byte and the extra cost grows with the number of such cells. The rule
     was checked with orjson 3.8.3; ``test_adapters`` checks it against
     ``repr``, and must pass before orjson is upgraded.
+
+    Cells are not quoted, so a name holding a comma, a double quote, CR or
+    LF raises ``DataError`` before anything is written.
     """
+    bad = [n for n in names if any(c in n for c in _UNQUOTABLE)]
+    if bad:
+        raise DataError(
+            f"column names {bad} hold a comma, double quote, CR or LF, which "
+            "the unquoted CSV header cannot carry"
+        )
     out.write(",".join(names) + "\n")
     for start in range(0, data.shape[0], _CSV_BLOCK_ROWS):
         block = np.ascontiguousarray(

@@ -355,6 +355,10 @@ def save_csv(
         format_matrix_csv(names, data, fh)
 
 
+# Below this sd, squared deviations fall out of float64's normal range.
+_SQRT_TINY = float(np.sqrt(np.finfo(np.float64).tiny))
+
+
 def _moments(v: np.ndarray) -> tuple[float, float]:
     """Mean and population sd; either is inf or nan when it overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -369,12 +373,14 @@ def standardize(X: FeatureMatrix) -> tuple[FeatureMatrix, np.ndarray, np.ndarray
     arrays with z = (x - offset) / scale, so a standardized block maps back
     as z * scale + offset. A second centering pass, folded into the offset,
     keeps the output mean below 1e-12 even for columns with large offsets.
-    A column whose squares overflow float64 (values beyond about 1e154) is
-    standardized as the column times 2**-e, with 2**e just above its
-    largest magnitude, and its offset and scale are multiplied back by
-    2**e; scaling by a power of two is exact. A constant column cannot be
-    scaled and passes through with offset 0 and scale 1, so the audit, not
-    standardization, flags it.
+    A column whose squared deviations overflow or underflow float64 (sd
+    beyond about 1e154 or below about 1e-154) is standardized as the column
+    times 2**-e, with 2**e just above its largest magnitude, and its offset
+    and scale are multiplied back by 2**e; scaling by a power of two is
+    exact. So every column is standardized whatever its magnitude, except
+    one that is constant or whose sd is below 1e-12 of its mean's
+    magnitude: that passes through with offset 0 and scale 1, and the
+    audit, not standardization, judges it.
     """
     out = np.empty((X.n, X.k), order="F")
     offset = np.zeros(X.k)
@@ -383,11 +389,11 @@ def standardize(X: FeatureMatrix) -> tuple[FeatureMatrix, np.ndarray, np.ndarray
         v = X.data[:, j]
         e = 0
         mean, sd = _moments(v)
-        if not np.isfinite(sd):
+        if not _SQRT_TINY <= sd < np.inf:
             e = int(np.frexp(np.max(np.abs(v)))[1])
             v = np.ldexp(v, -e)
             mean, sd = _moments(v)
-        if sd == 0.0 or sd < 1e-12 * max(abs(mean), 1.0):
+        if sd == 0.0 or sd < 1e-12 * abs(mean):
             out[:, j] = X.data[:, j]
             continue
         z = (v - mean) / sd

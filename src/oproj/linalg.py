@@ -24,9 +24,7 @@ from .errors import (
 # original norm are treated as rounding debris, not a new direction.
 DEFAULT_DROP_TOL = 1e-10
 
-# A vector with Euclidean norm <= this (times sqrt(n)) cannot be projected
-# against without dividing by noise.
-ZERO_NORM_TOL = 1e-12
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 class FeatureMatrix:
@@ -111,9 +109,6 @@ class FeatureMatrix:
         """Fresh, writable, C-ordered n x k copy in column order."""
         return np.array(self.data, order="C")
 
-    def take_rows(self, rows: np.ndarray) -> "FeatureMatrix":
-        return FeatureMatrix._adopt(self.names, np.asfortranarray(self.data[rows]))
-
     def drop(self, name: str) -> "FeatureMatrix":
         idx = self.index(name)
         names = self.names[:idx] + self.names[idx + 1 :]
@@ -154,8 +149,8 @@ def project_out(v: np.ndarray, u: np.ndarray, uu: float | None = None) -> np.nda
     """Component of ``v`` orthogonal to ``u``: v - (u.v / u.u) u.
 
     ``uu`` is ``float(np.dot(u, u))``, for a caller that projects many
-    columns against one ``u``. ``u`` must not be numerically zero;
-    transform_against_vector checks that before projecting any column.
+    columns against one ``u``. ``u.u`` must be a positive normal float;
+    transform_against_vector rescales ``u`` to make it one.
     """
     if uu is None:
         uu = float(np.dot(u, u))
@@ -187,8 +182,14 @@ def orthonormalize(
                 f"candidate '{name}' has norm {orig} beyond float64 range; "
                 "standardize the data or drop the transform"
             )
-        if orig == 0.0:
+        top = float(np.max(np.abs(v)))
+        if top == 0.0:
             continue
+        # A power of two brings v's largest magnitude into [0.5, 1). It
+        # scales v and its residuals below exactly, so their norms cannot
+        # underflow, and a vector whose norms were in range keeps its bits.
+        np.ldexp(v, -int(np.frexp(top)[1]), out=v)
+        orig = float(np.linalg.norm(v))
         for _ in range(2):  # second sweep mops up cancellation error
             for q in accepted:
                 v -= np.dot(q, v) * q
@@ -251,12 +252,17 @@ def transform_against_vector(X: FeatureMatrix, current: str, out: np.ndarray) ->
     """
     idx = _rest_index(X, current, out)
     u = X.data[:, idx]
-    u_norm = float(np.linalg.norm(u))
-    if u_norm <= ZERO_NORM_TOL * np.sqrt(X.n):
-        raise DegenerateFeatureError(
-            f"cannot project against '{current}': norm {u_norm:.3e} is numerically zero"
-        )
-    uu = float(np.dot(u, u))
+    with np.errstate(over="ignore"):
+        uu = float(np.dot(u, u))
+    if not _TINY <= uu < np.inf:
+        # u.u underflows or overflows. The projection does not depend on
+        # u's length, so scale u by the power of two that brings its
+        # largest magnitude into [0.5, 1).
+        top = float(np.max(np.abs(u)))
+        if top == 0.0:
+            raise DegenerateFeatureError(f"cannot project against '{current}': it is all zero")
+        u = np.ldexp(u, -int(np.frexp(top)[1]))
+        uu = float(np.dot(u, u))
     for j in range(X.k):
         if j != idx:
             out[:, j] = project_out(X.data[:, j], u, uu)

@@ -323,7 +323,9 @@ def rank_all(
     flight = None  # (name, dropped count, running query) of feature j
     try:
         for name in (*X.names, None):
-            encoded = None
+            # Feature j's query goes before j+1's is built, so one n x k
+            # query is alive at a time.
+            query = encoded = None
             if name is not None:
                 try:
                     query, dropped = _build_query(prepared, name, cfg)

@@ -243,7 +243,7 @@ def train_surrogate(
     if n - n_hold < 2:
         raise DimensionError(f"{n} samples is too few for a {holdout_fraction} holdout")
     hold_rows, train_rows = perm[:n_hold], perm[n_hold:]
-    X_train = X.take_rows(train_rows)
+    X_train = X.data[train_rows]
     X_hold = X.data[hold_rows]
 
     if family == "ridge":

@@ -397,6 +397,66 @@ class TestAudit:
         level_raws = [e["raw_delta"] for e in doc["entries"] if e["name"].startswith("grp=")]
         assert groups[0]["raw_delta_max"] == max(level_raws)
 
+    @staticmethod
+    def _write_unquotable(tmp_path, categorical):
+        """A CSV whose header names ``a,b``, or whose categorical column
+        ``g`` has the level ``x,y``; both need quoting in a header."""
+        rng = np.random.default_rng(0)
+        lines = ['"a,b",g,c,target']
+        for i, (a, c) in enumerate(rng.standard_normal((60, 2)).tolist()):
+            g = ('"x,y"' if i % 2 else "z") if categorical else repr(float(i % 3))
+            lines.append(f"{a!r},{g},{c!r},{2 * a + c + (i % 2)!r}")
+        csv = tmp_path / "names.csv"
+        csv.write_text("\n".join(lines) + "\n")
+        schema = tmp_path / "schema.txt"
+        schema.write_text("g=feature:categorical\n" if categorical else "")
+        return csv, schema
+
+    @pytest.mark.parametrize("categorical", [False, True])
+    def test_name_the_header_cannot_carry_exit_1_before_model_runs(
+        self, tmp_path, monkeypatch, capsys, categorical
+    ):
+        csv, schema = self._write_unquotable(tmp_path, categorical)
+        count = tmp_path / "count.txt"
+        monkeypatch.setenv("OPROJ_FIXTURE_COUNT", str(count))
+        out = tmp_path / "out"
+        code = main(
+            [
+                "audit",
+                "--data", str(csv),
+                "--schema", str(schema),
+                "--model", LINEAR_MODEL,
+                "--target", "column:target",
+                "--out", str(out),
+            ]
+        )  # fmt: skip
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'a,b'" in err and "unquoted CSV header" in err
+        assert ("'g=x,y'" in err) is categorical
+        assert not count.exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("categorical", [False, True])
+    def test_name_the_header_cannot_carry_audited_by_surrogate(self, tmp_path, categorical):
+        csv, schema = self._write_unquotable(tmp_path, categorical)
+        out = tmp_path / "out"
+        code = main(
+            [
+                "audit",
+                "--data", str(csv),
+                "--schema", str(schema),
+                "--surrogate", "ridge",
+                "--target", "column:target",
+                "--out", str(out),
+            ]
+        )  # fmt: skip
+        assert code == 0
+        doc = json.loads((out / "report.json").read_text())
+        names = {e["name"] for e in doc["entries"]}
+        assert names == ({"a,b", "g=x,y", "g=z", "c"} if categorical else {"a,b", "g", "c"})
+        assert all(e["error"] is None for e in doc["entries"])
+
     def test_schema_target_conflicts_with_captured_exit_2(self, tmp_path):
         data = synth(tmp_path)
         schema = tmp_path / "schema.txt"

@@ -303,6 +303,13 @@ class TestSaveCsv:
         with pytest.raises(DataError, match="collides"):
             save_csv(m, tmp_path / "x.csv", target=np.zeros(5))
 
+    @pytest.mark.parametrize("name", ["a,b", 'say "hi"', "cr\rhere", "lf\nhere"])
+    def test_name_the_header_cannot_carry_is_refused(self, tmp_path, rng, name):
+        m = FeatureMatrix.from_arrays([name, "c"], rng.standard_normal((5, 2)))
+        with pytest.raises(DataError, match="unquoted CSV header") as info:
+            save_csv(m, tmp_path / "x.csv")
+        assert repr(name) in str(info.value)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_target_rejected_before_writing(self, tmp_path, rng, bad):
         m = FeatureMatrix.from_arrays(["a"], rng.standard_normal((5, 1)))

@@ -106,8 +106,6 @@ def _built_by(how, tmp_path):
         return load_csv(path)[0]
     if how == "standardize":
         return standardize(m)[0]
-    if how == "take_rows":
-        return m.take_rows(np.array([5, 0, 7]))
     if how == "drop":
         return m.drop("b")
     # A query that removes "a" (its column left unset), wrapped as the
@@ -127,7 +125,6 @@ class TestStorageContract:
             "from_arrays",
             "load_csv",
             "standardize",
-            "take_rows",
             "drop",
             "transform_against_feature",
             "transform_against_vector",

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -57,3 +58,29 @@ def test_cli_import_loads_no_heavy_modules():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def bench_hook_names():
+    """(module, dotted name) of every entry of ``WRAPPED`` in
+    bench/layers.py, read from its source without importing it."""
+    tree = ast.parse((ROOT / "bench" / "layers.py").read_text())
+    for node in tree.body:
+        targets = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
+        if isinstance(node, ast.Assign) and targets == ["WRAPPED"]:
+            return [(e.elts[0].value, e.elts[1].value) for e in node.value.elts]
+    raise AssertionError("bench/layers.py defines no WRAPPED")
+
+
+def test_every_bench_hook_name_resolves():
+    """The traced benchmark patches these names from outside; one a
+    refactor drops silently leaves its layer unmeasured."""
+    hooks = bench_hook_names()
+    assert hooks
+    missing = []
+    for module_name, dotted in hooks:
+        holder = importlib.import_module(module_name)
+        for attr in dotted.split("."):
+            holder = getattr(holder, attr, None)
+        if holder is None:
+            missing.append(f"{module_name}.{dotted}")
+    assert missing == []

@@ -413,6 +413,37 @@ class TestRankAll:
         assert len(queries) == 4
         assert all(np.isfinite(q).all() for q in queries)
 
+    @settings(deadline=None, max_examples=80)
+    @given(
+        exponent=st.integers(-1000, 1000),
+        standardize=st.booleans(),
+        transforms=st.sampled_from([TransformSet(), TransformSet.none()]),
+    )
+    def test_column_at_any_power_of_two_scale_hypothesis(
+        self, exponent, standardize, transforms
+    ):
+        # Column b times 2**exponent: the audit either reports it, or flags
+        # it by name, and then only because its companions overflow.
+        data = np.random.default_rng(7).standard_normal((60, 3))
+        data[:, 1] = np.ldexp(data[:, 1], exponent)
+        queries = []
+
+        def model(a):
+            queries.append(a.copy())
+            return a[:, 0] + 2.0 * a[:, 2]
+
+        cfg = AuditConfig(transforms=transforms, standardize=standardize)
+        report = rank_all(InProcessModel(model), matrix(data, ["a", "b", "c"]), cfg)
+        flagged = [e for e in report.entries if e.error is not None]
+        assert [e.name for e in flagged] in ([], ["b"])
+        assert all("'b'" in e.error for e in flagged)
+        if standardize:
+            assert not flagged
+        scored = [e for e in report.entries if e.error is None]
+        assert all(np.isfinite([e.raw_delta, e.normalized]).all() for e in scored)
+        assert scored[0].normalized == 100.0
+        assert all(np.isfinite(q).all() for q in queries)
+
     @pytest.mark.filterwarnings("error")
     def test_overflowing_metric_never_reaches_the_report(self, rng):
         # (pred - y)**2 overflows for every audit of this matrix, so no
