@@ -16,8 +16,8 @@ class FeatureLookupError(OprojError):
 
 
 class DegenerateFeatureError(OprojError):
-    """A feature cannot be audited: it is constant or numerically zero, or
-    its companions, removal subspace or metric overflow float64."""
+    """A feature cannot be audited: it is constant, or its companions,
+    removal subspace or metric overflow float64."""
 
 
 class DegenerateSubspaceError(OprojError):
