@@ -145,6 +145,17 @@ _CSV_BLOCK_ROWS = 1024
 _UNQUOTABLE = (",", '"', "\r", "\n")
 
 
+def check_header_names(names: Sequence[str]) -> None:
+    """Raise ``DataError`` naming every name that holds a comma, a double
+    quote, CR or LF, which the unquoted CSV header cannot carry."""
+    bad = [n for n in names if any(c in n for c in _UNQUOTABLE)]
+    if bad:
+        raise DataError(
+            f"column names {bad} hold a comma, double quote, CR or LF, which "
+            "the unquoted CSV header cannot carry"
+        )
+
+
 def format_matrix_csv(names: Sequence[str], data: np.ndarray, out: TextIO) -> None:
     """Write a header row and one CSV line per row of ``data`` to ``out``.
 
@@ -165,12 +176,7 @@ def format_matrix_csv(names: Sequence[str], data: np.ndarray, out: TextIO) -> No
     Cells are not quoted, so a name holding a comma, a double quote, CR or
     LF raises ``DataError`` before anything is written.
     """
-    bad = [n for n in names if any(c in n for c in _UNQUOTABLE)]
-    if bad:
-        raise DataError(
-            f"column names {bad} hold a comma, double quote, CR or LF, which "
-            "the unquoted CSV header cannot carry"
-        )
+    check_header_names(names)
     out.write(",".join(names) + "\n")
     for start in range(0, data.shape[0], _CSV_BLOCK_ROWS):
         block = np.ascontiguousarray(

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 audit/runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import shlex
 import sys
@@ -76,9 +77,12 @@ def parse_replacement(spec: str) -> tuple[str, float]:
     for prefix in ("const:", "constant:"):
         if spec.startswith(prefix):
             try:
-                return "constant", float(spec[len(prefix) :])
+                value = float(spec[len(prefix) :])
+                if math.isfinite(value):
+                    return "constant", value
             except ValueError:
-                raise ValueError(f"bad replacement constant in '{spec}'") from None
+                pass
+            raise ValueError(f"replacement constant in '{spec}' must be a finite number")
     raise ValueError(f"--replacement must be mean, zero, or const:VALUE, got '{spec}'")
 
 

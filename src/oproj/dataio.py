@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import orjson
 
-from .adapters import format_matrix_csv
+from .adapters import check_header_names, format_matrix_csv
 from .errors import DataError, SyntheticSpecError
 from .linalg import FeatureMatrix
 
@@ -351,6 +351,7 @@ def save_csv(
             )
         names.append(target_name)
         data = np.column_stack([data, target])
+    check_header_names(names)  # before the file is created or truncated
     with path.open("w", newline="", encoding="utf-8") as fh:
         format_matrix_csv(names, data, fh)
 

@@ -1,9 +1,9 @@
 """Dense column arithmetic and orthogonal projection.
 
 All arithmetic is float64, and inputs are never mutated. The two
-transformations write into an n x k buffer that the caller hands them: the
-audit query in the making, with the audited column left for the caller to
-fill.
+transformations write every column into an n x k buffer that the caller
+hands them: the audit query in the making. The audited column's cells are
+finite placeholders, and the caller overwrites that column.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from .errors import (
     FeatureLookupError,
 )
 
-# Rank-deficiency cutoff: residual norms below drop_tol times the candidate's
+# Rank-deficiency cutoff: residual norms below DROP_TOL times the candidate's
 # original norm are treated as rounding debris, not a new direction.
-DEFAULT_DROP_TOL = 1e-10
+DROP_TOL = 1e-10
 
 _TINY = float(np.finfo(np.float64).tiny)
 
@@ -158,14 +158,12 @@ def project_out(v: np.ndarray, u: np.ndarray, uu: float | None = None) -> np.nda
     return v - coef * u
 
 
-def orthonormalize(
-    candidates: FeatureMatrix, drop_tol: float = DEFAULT_DROP_TOL
-) -> ProjectionBasis:
+def orthonormalize(candidates: FeatureMatrix) -> ProjectionBasis:
     """Modified Gram-Schmidt over the columns of ``candidates``, in order,
     with one re-orthogonalization pass per vector.
 
     A candidate is dropped when its residual after projection against the
-    vectors accepted so far has norm < drop_tol times its original norm
+    vectors accepted so far has norm < DROP_TOL times its original norm
     (rank deficiency rather than a new direction). Raises
     DegenerateFeatureError naming a candidate whose norm overflows float64,
     and DegenerateSubspaceError when nothing survives.
@@ -194,7 +192,7 @@ def orthonormalize(
             for q in accepted:
                 v -= np.dot(q, v) * q
         resid = float(np.linalg.norm(v))
-        if resid < drop_tol * orig:
+        if resid < DROP_TOL * orig:
             continue
         v /= resid
         accepted.append(v)
@@ -207,7 +205,7 @@ def orthonormalize(
     )
 
 
-def _rest_index(X: FeatureMatrix, current: str, out: np.ndarray) -> int:
+def _audited_index(X: FeatureMatrix, current: str, out: np.ndarray) -> int:
     idx = X.index(current)
     if X.k == 1:
         raise DimensionError("cannot transform a single-column matrix; nothing remains")
@@ -219,39 +217,35 @@ def _rest_index(X: FeatureMatrix, current: str, out: np.ndarray) -> int:
 def transform_against_feature(
     X: FeatureMatrix, current: str, basis: ProjectionBasis, out: np.ndarray
 ) -> None:
-    """Project every column of X but ``current`` onto the orthogonal
-    complement of span(basis), into the same column of ``out``, a
-    Fortran-order n x k array. Column ``current`` of ``out`` is left for
-    the caller.
+    """Project every column of X onto the orthogonal complement of
+    span(basis), into the same column of ``out``, a Fortran-order n x k
+    array. Column ``current`` gets its own projection, which the caller
+    overwrites.
     """
-    idx = _rest_index(X, current, out)
+    _audited_index(X, current, out)
     if basis.array.shape[0] != X.n:
         raise DimensionError(f"basis length {basis.array.shape[0]} does not match {X.n} rows")
     B = basis.array
-    # Project on the first k-1 columns, a contiguous block laid out like a
-    # copy of X without column ``current``. Two passes: the second removes
-    # the components reintroduced by rounding, keeping residuals orthogonal
-    # relative to their own (possibly tiny) norms.
-    rest = out[:, :-1]
-    rest[:, :idx] = X.data[:, :idx]
-    rest[:, idx:] = X.data[:, idx + 1 :]
-    scratch = np.empty(rest.shape, order="F")
+    # Two passes: the second removes the components reintroduced by
+    # rounding, keeping residuals orthogonal relative to their own
+    # (possibly tiny) norms.
+    out[...] = X.data
+    scratch = np.empty(out.shape, order="F")
     for _ in range(2):
-        rest -= np.matmul(B, B.T @ rest, out=scratch)
-    # Shift the columns after ``current`` one place right, last first.
-    for j in range(X.k - 1, idx, -1):
-        out[:, j] = out[:, j - 1]
+        out -= np.matmul(B, B.T @ out, out=scratch)
 
 
 def transform_against_vector(X: FeatureMatrix, current: str, out: np.ndarray) -> None:
     """Single-vector removal: apply project_out(col, u) to every column but
     ``current``, with u the column ``current`` itself, writing into ``out``
-    as transform_against_feature does. This is the linear-only
+    as transform_against_feature does; column ``current`` gets a copy of
+    u, which the caller overwrites. This is the linear-only
     transformation; the basis route reduces to it when no nonlinear
     companions are enabled.
     """
-    idx = _rest_index(X, current, out)
+    idx = _audited_index(X, current, out)
     u = X.data[:, idx]
+    out[:, idx] = u
     with np.errstate(over="ignore"):
         uu = float(np.dot(u, u))
     if not _TINY <= uu < np.inf:

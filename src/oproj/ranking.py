@@ -66,7 +66,6 @@ class AuditConfig:
     replacement_value: float = 0.0
     standardize: bool = True
     seed: int = 0
-    drop_tol: float = 1e-10
     check_repeatability: bool = False
 
     def __post_init__(self):
@@ -74,6 +73,10 @@ class AuditConfig:
             raise ValueError(
                 f"replacement must be one of {REPLACEMENT_POLICIES}, "
                 f"got '{self.replacement}'"
+            )
+        if not np.isfinite(self.replacement_value):
+            raise ValueError(
+                f"replacement_value must be finite, got {self.replacement_value}"
             )
 
 
@@ -196,18 +199,16 @@ def _build_query(
                 # exactly to the single-vector algorithm.
                 transform_against_vector(audit, current, query)
             else:
-                basis = orthonormalize(candidates, cfg.drop_tol)
+                basis = orthonormalize(candidates)
                 dropped = basis.dropped_count
                 transform_against_feature(audit, current, basis, query)
         except (DegenerateFeatureError, DegenerateSubspaceError) as exc:
             raise type(exc)(f"feature '{current}': {exc}") from exc
         if prepared.scale is not None:
-            # z * scale + offset on every element, one block either side of
-            # the audited column.
-            for cols in (slice(None, idx), slice(idx + 1, None)):
-                block = query[:, cols]
-                block *= prepared.scale[cols]
-                block += prepared.offset[cols]
+            # z * scale + offset on every element; the audited column is
+            # overwritten below.
+            query *= prepared.scale
+            query += prepared.offset
     query[:, idx] = _replacement_value(raw.data[:, idx], cfg)
     return FeatureMatrix._adopt(raw.names, query), dropped
 

@@ -7,8 +7,10 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .dataio import DatasetSchema
+from .linalg import DROP_TOL
 from .ranking import DependenceReport
 from .surrogate import FidelityScore
+from .transforms import EXP_CLIP
 
 FORMAT_VERSION = "1"
 
@@ -66,12 +68,12 @@ def build_document(
                 "log": cfg.transforms.enable_log,
                 "poly_degrees": list(cfg.transforms.poly_degrees),
                 "exp": cfg.transforms.enable_exp,
-                "exp_clip": cfg.transforms.exp_clip,
+                "exp_clip": EXP_CLIP,
             },
             "replacement": cfg.replacement,
             "replacement_value": cfg.replacement_value,
             "standardize": cfg.standardize,
-            "drop_tol": cfg.drop_tol,
+            "drop_tol": DROP_TOL,
             "seed": cfg.seed,
         },
         "baseline": report.baseline,
@@ -108,13 +110,21 @@ def write_json(doc: dict, path: str | Path) -> Path:
     return path
 
 
+def _csv_cell(text: str) -> str:
+    """``text`` as one CSV cell: quoted, with inner quotes doubled, when it
+    holds a comma, a double quote, CR or LF (RFC 4180)."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_csv(doc: dict, path: str | Path) -> Path:
     lines = ["name,raw_delta,normalized,dropped_count,error"]
     for e in doc["entries"]:
         raw = "" if e["raw_delta"] is None else repr(e["raw_delta"])
         norm = "" if e["normalized"] is None else repr(e["normalized"])
-        err = "" if e["error"] is None else e["error"].replace(",", ";")
-        lines.append(f"{e['name']},{raw},{norm},{e['dropped_count']},{err}")
+        err = "" if e["error"] is None else _csv_cell(e["error"])
+        lines.append(f"{_csv_cell(e['name'])},{raw},{norm},{e['dropped_count']},{err}")
     path = Path(path)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path

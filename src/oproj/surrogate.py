@@ -19,6 +19,8 @@ from .errors import DimensionError, NonFiniteFitError, SingularSystemError
 from .linalg import FeatureMatrix
 
 GRADIENT_TOL = 1e-6
+# Share of the rows held out from fitting to score the stand-in's fidelity.
+HOLDOUT_FRACTION = 0.2
 
 
 def _design(X: FeatureMatrix | np.ndarray) -> np.ndarray:
@@ -220,7 +222,6 @@ def train_surrogate(
     *,
     lam: float = 1e-3,
     seed: int = 0,
-    holdout_fraction: float = 0.2,
     max_iter: int = 500,
     step: float = 0.1,
 ) -> SurrogateFit:
@@ -231,17 +232,15 @@ def train_surrogate(
     """
     if family not in ("ridge", "logistic"):
         raise ValueError(f"unknown surrogate family '{family}'")
-    if not (0.0 < holdout_fraction < 1.0):
-        raise ValueError(f"holdout_fraction must lie in (0,1), got {holdout_fraction}")
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     n = X.n
     if y.shape[0] != n:
         raise DimensionError(f"target length {y.shape[0]} vs {n} rows")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
-    n_hold = max(1, int(round(holdout_fraction * n)))
+    n_hold = max(1, int(round(HOLDOUT_FRACTION * n)))
     if n - n_hold < 2:
-        raise DimensionError(f"{n} samples is too few for a {holdout_fraction} holdout")
+        raise DimensionError(f"{n} samples is too few for a {HOLDOUT_FRACTION} holdout")
     hold_rows, train_rows = perm[:n_hold], perm[n_hold:]
     X_train = X.data[train_rows]
     X_hold = X.data[hold_rows]
@@ -260,7 +259,7 @@ def train_surrogate(
         kind=kind,
         value=fidelity_value,
         split_seed=seed,
-        holdout_fraction=holdout_fraction,
+        holdout_fraction=HOLDOUT_FRACTION,
         n_holdout=int(n_hold),
     )
     return SurrogateFit(model=model, fidelity=fidelity, handle=surrogate_handle(model))

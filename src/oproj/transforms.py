@@ -14,27 +14,27 @@ import numpy as np
 from .errors import DegenerateFeatureError
 from .linalg import FeatureMatrix
 
+# The exponential companion clips its input to [-EXP_CLIP, EXP_CLIP].
+EXP_CLIP = 20.0
+
 
 @dataclass(frozen=True)
 class TransformSet:
     """Which nonlinear companions to generate for the audited feature.
 
     The log transform is shifted, log(x - min(x) + 1), so it is total on any
-    finite column. The exponential clips its input to [-exp_clip, exp_clip]
+    finite column. The exponential clips its input to [-EXP_CLIP, EXP_CLIP]
     first, keeping outputs finite on standardized data.
     """
 
     enable_log: bool = True
     poly_degrees: tuple[int, ...] = (2, 3)
     enable_exp: bool = True
-    exp_clip: float = 20.0
 
     def __post_init__(self):
         degrees = tuple(sorted(set(int(d) for d in self.poly_degrees)))
         if any(d < 2 for d in degrees):
             raise ValueError(f"polynomial degrees must be >= 2, got {degrees}")
-        if not self.exp_clip > 0:
-            raise ValueError(f"exp_clip must be positive, got {self.exp_clip}")
         object.__setattr__(self, "poly_degrees", degrees)
 
     @classmethod
@@ -66,7 +66,7 @@ def build_removal_candidates(
         for d in ts.poly_degrees:
             companions.append((f"pow{d}", x**d))
         if ts.enable_exp:
-            clipped = np.clip(x, -ts.exp_clip, ts.exp_clip)
+            clipped = np.clip(x, -EXP_CLIP, EXP_CLIP)
             companions.append(("exp", np.exp(clipped)))
     for transform, values in companions:
         if not np.isfinite(values).all():

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -63,6 +64,11 @@ class TestParsers:
         assert parse_replacement("const:1.5") == ("constant", 1.5)
         with pytest.raises(ValueError):
             parse_replacement("median")
+
+    @pytest.mark.parametrize("spec", ["const:nan", "const:inf", "constant:-inf", "const:x"])
+    def test_replacement_constant_must_be_finite(self, spec):
+        with pytest.raises(ValueError, match="must be a finite number"):
+            parse_replacement(spec)
 
     def test_seed_resolution(self, monkeypatch):
         monkeypatch.delenv("OPROJ_SEED", raising=False)
@@ -439,15 +445,16 @@ class TestAudit:
 
     @pytest.mark.parametrize("categorical", [False, True])
     def test_name_the_header_cannot_carry_audited_by_surrogate(self, tmp_path, categorical):
-        csv, schema = self._write_unquotable(tmp_path, categorical)
+        data, schema = self._write_unquotable(tmp_path, categorical)
         out = tmp_path / "out"
         code = main(
             [
                 "audit",
-                "--data", str(csv),
+                "--data", str(data),
                 "--schema", str(schema),
                 "--surrogate", "ridge",
                 "--target", "column:target",
+                "--format", "json,csv",
                 "--out", str(out),
             ]
         )  # fmt: skip
@@ -456,6 +463,28 @@ class TestAudit:
         names = {e["name"] for e in doc["entries"]}
         assert names == ({"a,b", "g=x,y", "g=z", "c"} if categorical else {"a,b", "g", "c"})
         assert all(e["error"] is None for e in doc["entries"])
+        # report.csv quotes the names, so they read back whole.
+        with (out / "report.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert all(len(r) == 5 for r in rows)
+        assert {r[0] for r in rows[1:]} == names
+
+    def test_nonfinite_replacement_constant_exit_2(self, tmp_path, capsys):
+        data = synth(tmp_path)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main(
+                [
+                    "audit",
+                    "--data", str(data),
+                    "--model", LINEAR_MODEL,
+                    "--replacement", "const:nan",
+                    "--out", str(out),
+                ]
+            )  # fmt: skip
+        assert info.value.code == 2
+        assert "const:nan" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     def test_schema_target_conflicts_with_captured_exit_2(self, tmp_path):
         data = synth(tmp_path)

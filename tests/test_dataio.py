@@ -310,6 +310,16 @@ class TestSaveCsv:
             save_csv(m, tmp_path / "x.csv")
         assert repr(name) in str(info.value)
 
+    @pytest.mark.parametrize("existing", [None, b"a,c\n1.0,2.0\n"], ids=["new", "existing"])
+    def test_refused_name_leaves_the_path_as_it_was(self, tmp_path, rng, existing):
+        m = FeatureMatrix.from_arrays(["a,b", "c"], rng.standard_normal((5, 2)))
+        p = tmp_path / "x.csv"
+        if existing is not None:
+            p.write_bytes(existing)
+        with pytest.raises(DataError, match="unquoted CSV header"):
+            save_csv(m, p)
+        assert (p.read_bytes() if p.exists() else None) == existing
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_target_rejected_before_writing(self, tmp_path, rng, bad):
         m = FeatureMatrix.from_arrays(["a"], rng.standard_normal((5, 1)))

@@ -18,6 +18,7 @@ from oproj.linalg import (
     transform_against_feature,
     transform_against_vector,
 )
+from oproj.transforms import TransformSet, build_removal_candidates
 
 
 def cols(**columns):
@@ -380,14 +381,24 @@ class TestTransformAgainstFeature:
             with pytest.raises(DimensionError, match="Fortran-order 10 x 2"):
                 transform_against_feature(m, "a", orthonormalize(own(m, "a")), out)
 
-    @pytest.mark.parametrize("current", ["a", "c", "e"])
-    def test_matches_two_passes_on_the_remaining_columns(self, rng, current):
+    @pytest.mark.parametrize(
+        "n, k, idx, ts",
+        [
+            pytest.param(301, 5, 0, TransformSet(False, (2, 3), False), id="a"),
+            pytest.param(301, 5, 2, TransformSet(False, (2, 3), False), id="c"),
+            pytest.param(301, 5, 4, TransformSet(False, (2, 3), False), id="e"),
+            # Large enough for BLAS to block and thread the products.
+            pytest.param(20001, 41, 0, TransformSet(), id="20001x41-first"),
+            pytest.param(20001, 41, 20, TransformSet(), id="20001x41-middle"),
+            pytest.param(20001, 41, 40, TransformSet(), id="20001x41-last"),
+        ],
+    )
+    def test_matches_two_passes_on_the_remaining_columns(self, rng, n, k, idx, ts):
         # Reference: two passes of D - B (B^T D) on a column-major copy of
         # the other columns, as a standalone array. Equal to the last bit.
-        data = rng.standard_normal((301, 5))
-        m = FeatureMatrix.from_arrays(["a", "b", "c", "d", "e"], data)
-        x = m.data[:, m.index(current)]
-        cands = FeatureMatrix.from_arrays(["x", "x2", "x3"], np.column_stack([x, x**2, x**3]))
+        m = FeatureMatrix.from_arrays([f"x{j}" for j in range(k)], rng.standard_normal((n, k)))
+        current = m.names[idx]
+        cands = build_removal_candidates(m, current, ts)
         B = orthonormalize(cands).array
         D = np.delete(m.data, m.index(current), axis=1)
         D = D - np.matmul(B, B.T @ D, out=np.empty(D.shape, order="F"))

@@ -16,6 +16,7 @@ from oproj.errors import (
     AuditFailedError,
     DegenerateFeatureError,
     DimensionError,
+    NonFiniteFitError,
 )
 from oproj.linalg import FeatureMatrix
 from oproj.ranking import (
@@ -27,7 +28,7 @@ from oproj.ranking import (
     compute_metric,
     rank_all,
 )
-from oproj.surrogate import fit_ridge
+from oproj.surrogate import fit_ridge, train_surrogate
 from oproj.transforms import TransformSet
 
 
@@ -179,6 +180,11 @@ class TestAuditFeature:
         out3 = audit_feature(h3, m3, y3, "x1", cfg3, baseline=0.0)
         # x1^3 == x1 on a +/-1 column: dropped as rank-deficient.
         assert out3.dropped_count == 1
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_replacement_constant_rejected(self, value):
+        with pytest.raises(ValueError, match="replacement_value must be finite"):
+            AuditConfig(replacement="constant", replacement_value=value)
 
     def test_replacement_policies(self, rng):
         data = rng.standard_normal((100, 2)) + 5.0
@@ -413,27 +419,40 @@ class TestRankAll:
         assert len(queries) == 4
         assert all(np.isfinite(q).all() for q in queries)
 
-    @settings(deadline=None, max_examples=80)
+    @settings(deadline=None, max_examples=160)
     @given(
         exponent=st.integers(-1000, 1000),
         standardize=st.booleans(),
         transforms=st.sampled_from([TransformSet(), TransformSet.none()]),
+        surrogate=st.booleans(),
     )
     def test_column_at_any_power_of_two_scale_hypothesis(
-        self, exponent, standardize, transforms
+        self, exponent, standardize, transforms, surrogate
     ):
-        # Column b times 2**exponent: the audit either reports it, or flags
-        # it by name, and then only because its companions overflow.
+        # Column b times 2**exponent, audited directly or through a ridge
+        # stand-in fitted to it: the audit either reports it, or flags it by
+        # name, and then only because its companions overflow. A ridge fit
+        # may refuse the data instead.
         data = np.random.default_rng(7).standard_normal((60, 3))
         data[:, 1] = np.ldexp(data[:, 1], exponent)
+        X = matrix(data, ["a", "b", "c"])
+
+        def predict(a):
+            return a[:, 0] + 2.0 * a[:, 2]
+
+        if surrogate:
+            try:
+                predict = train_surrogate(X, predict(data), "ridge").model.predict
+            except NonFiniteFitError:
+                return
         queries = []
 
         def model(a):
             queries.append(a.copy())
-            return a[:, 0] + 2.0 * a[:, 2]
+            return predict(a)
 
         cfg = AuditConfig(transforms=transforms, standardize=standardize)
-        report = rank_all(InProcessModel(model), matrix(data, ["a", "b", "c"]), cfg)
+        report = rank_all(InProcessModel(model), X, cfg)
         flagged = [e for e in report.entries if e.error is not None]
         assert [e.name for e in flagged] in ([], ["b"])
         assert all("'b'" in e.error for e in flagged)

@@ -1,3 +1,4 @@
+import csv
 import json
 import xml.etree.ElementTree as ET
 
@@ -135,6 +136,25 @@ class TestErroredEntries:
         cells = row.split(",")
         assert cells[1] == "" and cells[2] == ""
         assert "exploded" in row
+
+    def test_csv_quotes_a_message_with_commas_and_newlines(self, rng, tmp_path):
+        from oproj.errors import AdapterError
+
+        m = FeatureMatrix.from_arrays(["a", "b"], rng.standard_normal((60, 2)))
+
+        def flaky(arr):
+            if np.ptp(arr[:, 1]) == 0.0:
+                raise AdapterError('line one, "quoted"\nline two\r\nend')
+            return arr @ np.array([2.0, 1.0])
+
+        doc = make_doc(rank_all(InProcessModel(flaky), m, AuditConfig()))
+        path = write_csv(doc, tmp_path / "report.csv")
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(r) for r in rows] == [5, 5, 5]
+        assert rows[2][0] == "b"
+        assert rows[2][4] == [e for e in doc["entries"] if e["name"] == "b"][0]["error"]
+        assert 'line one, "quoted"\nline two\r\nend' in rows[2][4]
 
     def test_json_nulls_with_message(self, flaky_report):
         payload = make_doc(flaky_report)

@@ -5,7 +5,7 @@ import pytest
 
 from oproj.errors import DegenerateSubspaceError, FeatureLookupError
 from oproj.linalg import FeatureMatrix, orthonormalize
-from oproj.transforms import TransformSet, build_removal_candidates
+from oproj.transforms import EXP_CLIP, TransformSet, build_removal_candidates
 
 
 def cands(values, ts, name="x"):
@@ -18,16 +18,12 @@ class TestTransformSet:
         ts = TransformSet()
         assert ts.enable_log and ts.enable_exp
         assert ts.poly_degrees == (2, 3)
-        assert ts.exp_clip == 20.0
+        assert EXP_CLIP == 20.0
         assert ts.count == 4
 
     def test_degree_below_two_rejected(self):
         with pytest.raises(ValueError, match="degrees"):
             TransformSet(poly_degrees=(1,))
-
-    def test_nonpositive_clip_rejected(self):
-        with pytest.raises(ValueError, match="exp_clip"):
-            TransformSet(exp_clip=0.0)
 
     def test_degrees_sorted_and_deduped(self):
         ts = TransformSet(poly_degrees=(3, 2, 3))
@@ -55,7 +51,7 @@ class TestExpandFeature:
         # Oracle: per-element math.exp on the standardized values.
         vals = np.array([-1.0, 0.0, 1.0])
         std = (vals - vals.mean()) / vals.std()
-        out = cands(std, TransformSet(False, (), True, exp_clip=20.0))
+        out = cands(std, TransformSet(False, (), True))
         assert out.names[1] == "x__exp"
         expected = np.array([math.exp(v) for v in std])
         np.testing.assert_allclose(out.data[:, 1], expected, rtol=1e-15)
