@@ -132,8 +132,14 @@ class SubprocessSpec:
     def __post_init__(self):
         if not self.command:
             raise ValueError("command must not be empty")
-        if not self.timeout > 0:
-            raise ValueError(f"timeout must be positive, got {self.timeout}")
+        # threading's waits refuse a timeout above TIMEOUT_MAX.
+        if not 0 < self.timeout <= threading.TIMEOUT_MAX:
+            raise ValueError(
+                f"timeout must be in (0, {threading.TIMEOUT_MAX:g}] seconds, "
+                f"got {self.timeout}"
+            )
+        if not self.max_batch_rows >= 1:
+            raise ValueError(f"max_batch_rows must be >= 1, got {self.max_batch_rows}")
         object.__setattr__(self, "command", tuple(self.command))
 
 
@@ -321,7 +327,15 @@ class SubprocessModel(ModelHandle):
                     + (f": {stderr[:500]}" if stderr else "")
                 )
             running.stdout.seek(0)
-            text = running.stdout.read().decode("utf-8")
+            reply = running.stdout.read()
+        try:
+            text = reply.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            row = reply.count(b"\n", 0, exc.start)
+            raise MalformedOutputError(
+                f"prediction at row {row} is not UTF-8: {reply[exc.start : exc.end]!r}",
+                row=row,
+            ) from None
         pred = parse_prediction_lines(text, running.rows)
         return _validated(pred, running.rows)
 

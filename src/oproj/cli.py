@@ -187,6 +187,17 @@ def _prepare_audit_inputs(args, parser: argparse.ArgumentParser):
         replacement, replacement_value = parse_replacement(args.replacement)
         seed = resolve_seed(args.seed)
         metric = PerformanceMetric(kind=args.metric, threshold=args.threshold)
+        if not 0 <= args.ridge_lambda < math.inf:
+            raise ValueError(
+                f"--ridge-lambda must be finite and >= 0, got {args.ridge_lambda}"
+            )
+        if args.model is not None:
+            command = tuple(shlex.split(args.model))
+            if not command:
+                raise ValueError("--model command is empty")
+            spec = SubprocessSpec(
+                command, timeout=args.timeout, max_batch_rows=args.max_batch_rows
+            )
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -224,15 +235,7 @@ def _prepare_audit_inputs(args, parser: argparse.ArgumentParser):
         y_audit = None
         target_policy = "captured(surrogate)"
     else:
-        command = tuple(shlex.split(args.model))
-        if not command:
-            parser.error("--model command is empty")
-        handle = SubprocessModel(
-            SubprocessSpec(
-                command, timeout=args.timeout, max_batch_rows=args.max_batch_rows
-            ),
-            feature_names=X.names,
-        )
+        handle = SubprocessModel(spec, feature_names=X.names)
         model_descriptor = f"subprocess:{args.model}"
         y_audit = y if target_mode == "column" else None
         target_policy = f"column:{target_col}" if target_mode == "column" else "captured"

@@ -60,7 +60,7 @@ def parse_schema_file(path: str | Path) -> DatasetSchema:
     """Sidecar format: one ``column=role`` or ``column=role:kind`` per line.
     Blank lines and '#' comments are skipped."""
     cols: dict[str, ColumnSpec] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -113,16 +113,12 @@ def _parse_numeric_column(cells: tuple[str, ...], column: str) -> np.ndarray:
     )
 
 
-def _no_value(cell: str) -> float:
-    return 0.0
-
-
 # Every byte a row of plain JSON numbers can hold: digits, sign, point,
 # exponent, comma and whitespace.
 _NUMBER_BYTES = b"0123456789.eE+-, \t\r\n"
 # Small enough that a block's transient bytes and floats leave little freed
 # heap behind: on a 50000 x 41 ridge-surrogate audit, 1 MiB blocks raised
-# the peak RSS by 4 MiB over loadtxt's, 128 KiB blocks by 0.4 MiB.
+# the peak RSS by 4 MiB over one np.loadtxt pass, 128 KiB blocks by 0.4 MiB.
 _BLOCK_BYTES = 1 << 17
 # An integer -0 cell followed by a separator.
 _MINUS_ZERO_INT = (b"-0,", b"-0 ", b"-0\t", b"-0\r", b"-0\n")
@@ -180,52 +176,6 @@ def _parse_number_blocks(path: Path, header_lines: int, width: int) -> np.ndarra
     return data
 
 
-def _parse_numeric_bulk(
-    path: Path, header_lines: int, numeric: list[int], width: int
-) -> np.ndarray | None:
-    """Every data row as float64, or None when the file must take the
-    per-cell parse, which names the bad row and column. Only the
-    ``numeric`` columns are parsed; the others read as 0.
-
-    A file whose every column is numeric is first parsed in blocks of JSON
-    numbers; any other file, or one a block declines, takes one
-    ``np.loadtxt`` pass. ``loadtxt`` skips blank lines, accepts nan and inf
-    and rejects the underscores that float() allows, so a blank line, a
-    raise, a non-finite value or a row count other than the line count
-    sends the file down the per-cell path, which keeps today's behaviour
-    for each.
-    """
-    if len(numeric) == width:
-        data = _parse_number_blocks(path, header_lines, width)
-        if data is not None and np.isfinite(data).all():
-            return data
-    try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            lines = 0
-            for line in fh:
-                if not line.strip():
-                    return None
-                lines += 1
-        if lines == header_lines:
-            return None
-        data = np.loadtxt(
-            path,
-            dtype=np.float64,
-            delimiter=",",
-            comments=None,
-            quotechar='"',
-            skiprows=header_lines,
-            ndmin=2,
-            encoding="utf-8",
-            converters={j: _no_value for j in range(width) if j not in numeric},
-        )
-    except ValueError:
-        return None
-    if data.shape != (lines - header_lines, width) or not np.isfinite(data).all():
-        return None
-    return data
-
-
 def load_csv(
     path: str | Path, schema: DatasetSchema | None = None
 ) -> tuple[FeatureMatrix, np.ndarray | None]:
@@ -234,13 +184,21 @@ def load_csv(
     Numeric columns parse as float64. Categorical columns one-hot encode
     into ``<col>=<level>`` indicator columns, levels ordered
     lexicographically. Missing cells and unparseable numerics are hard
-    errors naming the row and column; duplicate headers are rejected.
-    Returns the feature matrix and the target vector when the schema
-    declares a target column.
+    errors naming the row and column; duplicate headers are rejected. A
+    UTF-8 byte-order mark before the header is skipped. Returns the
+    feature matrix and the target vector when the schema declares a target
+    column.
+
+    Every file is first parsed in blocks of JSON numbers, whatever its
+    schema: numeric and target columns take their values from the blocks,
+    ignored columns are dropped, and categorical columns read their levels
+    from the text of their cells. A file the blocks decline, such as one
+    with a text cell in any column or with quoted numbers, is parsed cell
+    by cell; that parse is the one that names a bad row and column.
     """
     schema = schema or DatasetSchema()
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -251,18 +209,11 @@ def load_csv(
             dupes = sorted({h for h in header if header.count(h) > 1})
             raise DataError(f"duplicate header names: {dupes}")
         specs = [schema.spec_for(h) for h in header]
-        numeric = [
-            j
-            for j, spec in enumerate(specs)
-            if spec.role == "target" or (spec.role == "feature" and spec.kind == "numeric")
-        ]
-        bulk = (
-            _parse_numeric_bulk(path, reader.line_num, numeric, len(header))
-            if numeric
-            else None
-        )
-        # Categorical cells, and every cell when the bulk parse gave up,
-        # go through the csv module.
+        bulk = _parse_number_blocks(path, reader.line_num, len(header))
+        if bulk is not None and not np.isfinite(bulk).all():
+            bulk = None
+        # Categorical cells, and every cell when the blocks decline, go
+        # through the csv module.
         text_needed = bulk is None or any(
             s.role == "feature" and s.kind == "categorical" for s in specs
         )
@@ -530,7 +481,7 @@ def parse_synthetic_spec(path: str | Path) -> SyntheticSpec:
     ``nonlinear=name,kind,coef`` lines.
     """
     pairs: list[tuple[str, str, int]] = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -95,8 +95,8 @@ def fit_ridge(X: FeatureMatrix | np.ndarray, y, lam: float = 1e-3) -> RidgeModel
     a fit that overflow float64 (columns or targets beyond about 1e154)
     raise NonFiniteFitError.
     """
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
     A = _design(X)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     n, k = A.shape

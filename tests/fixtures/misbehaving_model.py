@@ -10,6 +10,8 @@ Usage: misbehaving_model.py MODE [COLUMN]
   constant  exit 1 if COLUMN is constant, else emit the row sums
   stall     sleep far past any test timeout if COLUMN is constant, else
             emit the row sums
+  binary    emit the row sums, with a byte that is not UTF-8 in place of
+            row 0's if COLUMN is constant
 """
 import sys
 import time
@@ -36,13 +38,17 @@ def main():
         sys.exit(3)
     elif mode == "hang":
         time.sleep(60)
-    elif mode in ("constant", "stall"):
+    elif mode in ("constant", "stall", "binary"):
         rows = [[float(c) for c in row.split(",")] for row in lines[1:] if row.strip()]
         j = lines[0].split(",").index(sys.argv[2])
         if len({row[j] for row in rows}) == 1:
-            if mode == "stall":
-                time.sleep(60)
-            sys.exit(f"column {sys.argv[2]} is constant")
+            if mode == "binary":
+                sys.stdout.buffer.write(b"\xff\n")
+                rows = rows[1:]
+            else:
+                if mode == "stall":
+                    time.sleep(60)
+                sys.exit(f"column {sys.argv[2]} is constant")
         for row in rows:
             print(repr(sum(row)))
     else:

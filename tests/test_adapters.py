@@ -305,6 +305,15 @@ class TestSubprocessModel:
         with pytest.raises(AdapterError, match="cap"):
             h.predict_batch(m)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("timeout", 0.0), ("timeout", float("nan")), ("timeout", float("inf")),
+         ("timeout", 1e300), ("max_batch_rows", 0), ("max_batch_rows", -5)],
+    )  # fmt: skip
+    def test_spec_refuses_a_budget_that_cannot_work(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SubprocessSpec(("model",), **{field: value})
+
 
 class TestCaptureOutputs:
     def test_matches_predict_batch_exactly(self, rng):

@@ -486,6 +486,28 @@ class TestAudit:
         assert "const:nan" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--timeout", "0"), ("--timeout", "nan"), ("--timeout", "inf"),
+         ("--timeout", "1e300"), ("--max-batch-rows", "0"), ("--max-batch-rows", "-5"),
+         ("--ridge-lambda", "-1"), ("--ridge-lambda", "nan")],
+    )  # fmt: skip
+    def test_numeric_flag_that_cannot_work_exit_2(self, tmp_path, flag, value):
+        data = synth(tmp_path)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main(
+                [
+                    "audit",
+                    "--data", str(data),
+                    "--model", LINEAR_MODEL,
+                    flag, value,
+                    "--out", str(out),
+                ]
+            )  # fmt: skip
+        assert info.value.code == 2
+        assert not (out / "report.json").exists()
+
     def test_schema_target_conflicts_with_captured_exit_2(self, tmp_path):
         data = synth(tmp_path)
         schema = tmp_path / "schema.txt"

@@ -59,6 +59,15 @@ class TestLoadCsv:
         X, _ = load_csv(p, schema)
         assert X.names == ("g=apple", "g=mango", "g=zebra", "v")
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("target,x1\n1,2\n3,4\n", encoding="utf-8-sig")
+        X, _ = load_csv(p)
+        assert X.names == ("target", "x1")
+        X, y = load_csv(p, DatasetSchema({"target": ColumnSpec(role="target")}))
+        assert X.names == ("x1",)
+        np.testing.assert_array_equal(y, [1.0, 3.0])
+
     def test_empty_cell_names_row_and_column(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,b\n1,2\n3,\n")
@@ -113,7 +122,7 @@ def _load_outcome(path, schema):
 
 def _per_cell_outcome(path, schema):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dataio, "_parse_numeric_bulk", lambda *args: None)
+        mp.setattr(dataio, "_parse_number_blocks", lambda *args: None)
         return _load_outcome(path, schema)
 
 
@@ -173,15 +182,43 @@ def test_bulk_load_matches_per_cell_hypothesis(case):
 
 
 class TestBulkLoad:
-    def test_quoted_crlf_file_parses_in_bulk(self, tmp_path):
+    def test_quoted_crlf_file_parses_cell_by_cell(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_bytes(b'a,b,t\r\n"1.5",2,3\r\n-0.0,"5e-324",6\r\n')
-        assert dataio._parse_numeric_bulk(p, 1, [0, 1, 2], 3) is not None
+        assert dataio._parse_number_blocks(p, 1, 3) is None
         X, y = load_csv(p, DatasetSchema({"t": ColumnSpec(role="target")}))
         assert X.data.tobytes(order="F") == np.array(
             [[1.5, 2.0], [-0.0, 5e-324]], order="F"
         ).tobytes(order="F")
         np.testing.assert_array_equal(y, [3.0, 6.0])
+
+    @pytest.mark.parametrize(
+        "text, columns, names",
+        [
+            ("id,a,t\n7,1.5,1\n8,-2,0\n",
+             {"id": ColumnSpec(role="ignore"), "t": ColumnSpec(role="target")},
+             ("a",)),
+            ("g,a\n1,1.5\n3,-2\n2,0\n1,4\n", {"g": ColumnSpec(kind="categorical")},
+             ("g=1", "g=2", "g=3", "a")),
+        ],
+        ids=["ignored-integer-id", "integer-coded-categorical"],
+    )  # fmt: skip
+    def test_any_schema_parses_in_blocks(self, tmp_path, monkeypatch, text, columns, names):
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        schema = DatasetSchema(columns)
+        blocks = dataio._parse_number_blocks
+        parsed = []
+
+        def spy(*args):
+            parsed.append(blocks(*args))
+            return parsed[-1]
+
+        monkeypatch.setattr(dataio, "_parse_number_blocks", spy)
+        X, _ = load_csv(p, schema)
+        assert parsed[0] is not None
+        assert X.names == names
+        assert _load_outcome(p, schema) == _per_cell_outcome(p, schema)
 
     def test_layout_and_values_match_per_cell(self, tmp_path, rng):
         m = FeatureMatrix.from_arrays(["a", "b", "c"], rng.standard_normal((40, 3)))
@@ -194,12 +231,15 @@ class TestBulkLoad:
 
     @pytest.mark.parametrize(
         "body",
-        ["1,2\n\n3,4\n", "1,nan\n3,4\n", "1,1_0\n3,4\n", "1,2\n3,4,\n"],
-    )
+        ["1,2\n\n3,4\n", "1,nan\n3,4\n", "1,1_0\n3,4\n", "1,2\n3,4,\n",
+         "x1,2\nx2,4\n", '"1","2"\n"3","4"\n'],
+    )  # fmt: skip
     def test_bulk_declines_what_it_would_misread(self, tmp_path, body):
         p = tmp_path / "d.csv"
         p.write_text("a,b\n" + body)
-        assert dataio._parse_numeric_bulk(p, 1, [0, 1], 2) is None
+        assert dataio._parse_number_blocks(p, 1, 2) is None
+        schema = DatasetSchema({"a": ColumnSpec(role="ignore")})
+        assert _load_outcome(p, schema) == _per_cell_outcome(p, schema)
 
 
 def _numeric_csv(path, rows, rng):
@@ -489,6 +529,12 @@ class TestSchemaFile:
         assert schema.spec_for("row_id").role == "ignore"
         assert schema.spec_for("unlisted").role == "feature"
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        p = tmp_path / "schema.txt"
+        p.write_text("target=target\n", encoding="utf-8-sig")
+        schema = parse_schema_file(p)
+        assert schema.with_target("target").target_column() == "target"
+
     def test_bad_line(self, tmp_path):
         p = tmp_path / "schema.txt"
         p.write_text("income\n")
@@ -528,6 +574,11 @@ class TestSyntheticSpecFile:
         assert spec.correlation[0, 1] == 0.5
         assert spec.correlation[1, 0] == 0.5
         assert spec.nonlinear[0] == NonlinearTerm("c", "squared", 0.25)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        p = tmp_path / "spec.txt"
+        p.write_text("n=10\ncoefficients=1\n", encoding="utf-8-sig")
+        assert parse_synthetic_spec(p).n == 10
 
     def test_missing_required(self, tmp_path):
         p = tmp_path / "spec.txt"

@@ -358,6 +358,14 @@ class TestRankAll:
         assert {e.name for e in scored} == {"x1", "x3"}
         assert scored[0].normalized == 100.0
 
+    def test_non_utf8_reply_flags_only_its_feature(self, rng):
+        command = (*fixture_command("misbehaving_model.py").split(), "binary", "x2")
+        h = SubprocessModel(SubprocessSpec(command))
+        report = rank_all(h, matrix(rng.standard_normal((20, 3))), AuditConfig())
+        error = report.entry("x2").error
+        assert error is not None and "row 0" in error and "UTF-8" in error
+        assert {e.name for e in report.entries if e.error is None} == {"x1", "x3"}
+
     @pytest.mark.parametrize("standardize", [True, False])
     def test_constant_column_flagged_and_rest_audited(self, rng, standardize):
         data = rng.standard_normal((80, 3))

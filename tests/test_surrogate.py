@@ -109,6 +109,11 @@ class TestFitRidge:
         with pytest.raises(SingularSystemError, match="lam > 0"):
             fit_ridge(matrix(X), x, lam=0.0)
 
+    @pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf")])
+    def test_lambda_must_be_finite_and_non_negative(self, rng, lam):
+        with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+            fit_ridge(matrix(rng.standard_normal((10, 2))), np.zeros(10), lam=lam)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "column, target, message",
