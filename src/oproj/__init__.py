@@ -72,7 +72,6 @@ from .surrogate import (
     SurrogateFit,
     fit_logistic,
     fit_ridge,
-    surrogate_handle,
     train_surrogate,
 )
 from .transforms import TransformSet, build_removal_candidates

@@ -10,6 +10,7 @@ import math
 import os
 import shlex
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .adapters import SubprocessModel, SubprocessSpec
@@ -31,7 +32,7 @@ from .report import (
     write_json,
     write_svg,
 )
-from .surrogate import train_surrogate
+from .surrogate import LogisticModel, train_surrogate
 from .transforms import TransformSet
 
 ENV_SEED = "OPROJ_SEED"
@@ -87,15 +88,18 @@ def parse_replacement(spec: str) -> tuple[str, float]:
 
 
 def resolve_seed(flag_value: int | None) -> int:
+    """The --seed flag, else $OPROJ_SEED, else 0; a negative seed is refused."""
     if flag_value is not None:
-        return flag_value
-    env = os.environ.get(ENV_SEED)
-    if env is not None:
+        seed, source = flag_value, "--seed"
+    else:
+        env = os.environ.get(ENV_SEED, "0")
         try:
-            return int(env)
+            seed, source = int(env), ENV_SEED
         except ValueError:
             raise ValueError(f"{ENV_SEED} must be an integer, got '{env}'") from None
-    return 0
+    if seed < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _add_shared_audit_flags(p: argparse.ArgumentParser) -> None:
@@ -138,8 +142,6 @@ def _add_shared_audit_flags(p: argparse.ArgumentParser) -> None:
         "--max-batch-rows", type=int, default=1_000_000, help="subprocess row cap"
     )
     p.add_argument("--ridge-lambda", type=float, default=1e-3)
-    p.add_argument("--logistic-step", type=float, default=0.1)
-    p.add_argument("--logistic-max-iter", type=int, default=500)
     p.add_argument(
         "--check-repeatability",
         action="store_true",
@@ -217,18 +219,16 @@ def _prepare_audit_inputs(args, parser: argparse.ArgumentParser):
         raise OprojError(f"target column '{target_col}' not found in {args.data}")
 
     fidelity = None
+    notes: tuple[str, ...] = ()
     if args.surrogate:
-        fit = train_surrogate(
-            X,
-            y,
-            args.surrogate,
-            lam=args.ridge_lambda,
-            seed=seed,
-            max_iter=args.logistic_max_iter,
-            step=args.logistic_step,
-        )
+        fit = train_surrogate(X, y, args.surrogate, lam=args.ridge_lambda, seed=seed)
         handle = fit.handle
         fidelity = fit.fidelity
+        if isinstance(fit.model, LogisticModel) and not fit.model.converged:
+            notes = (
+                f"logistic surrogate did not converge in {fit.model.iterations} "
+                "iterations; the audit describes a stand-in that may fit poorly",
+            )
         model_descriptor = f"surrogate:{args.surrogate}"
         # The recorded target trained the stand-in; the audit itself follows
         # the captured policy against the stand-in's own outputs.
@@ -249,28 +249,40 @@ def _prepare_audit_inputs(args, parser: argparse.ArgumentParser):
         seed=seed,
         check_repeatability=args.check_repeatability,
     )
-    return X, y, y_audit, handle, fidelity, schema, cfg, model_descriptor, target_policy
+    return (
+        X,
+        y,
+        y_audit,
+        handle,
+        fidelity,
+        notes,
+        schema,
+        cfg,
+        model_descriptor,
+        target_policy,
+    )
 
 
 def cmd_audit(args, parser: argparse.ArgumentParser) -> int:
+    formats = {f.strip().lower() for f in args.format.split(",") if f.strip()}
+    unknown = formats - {"json", "csv", "svg"}
+    if unknown:
+        parser.error(f"unknown --format values: {sorted(unknown)}")
     (
         X,
         _y,
         y_audit,
         handle,
         fidelity,
+        notes,
         schema,
         cfg,
         model_descriptor,
         target_policy,
     ) = _prepare_audit_inputs(args, parser)
 
-    formats = {f.strip().lower() for f in args.format.split(",") if f.strip()}
-    unknown = formats - {"json", "csv", "svg"}
-    if unknown:
-        parser.error(f"unknown --format values: {sorted(unknown)}")
-
     report = rank_all(handle, X, cfg, y=y_audit)
+    report = replace(report, warnings=notes + report.warnings)
     doc = build_document(
         report,
         target_policy=target_policy,
@@ -329,6 +341,7 @@ def cmd_validate(args, parser: argparse.ArgumentParser) -> int:
         _y_audit,
         handle,
         _fidelity,
+        notes,
         _schema,
         cfg,
         _model_descriptor,
@@ -338,6 +351,7 @@ def cmd_validate(args, parser: argparse.ArgumentParser) -> int:
     # Both routes score against the same reference target: the recorded
     # column, or the output that rank_all captures with its first query.
     report = rank_all(handle, X, cfg, y=y)
+    report = replace(report, warnings=notes + report.warnings)
     loco = loco_refit_importances(X, report.target, lam=args.ridge_lambda)
 
     names = [e.name for e in report.entries if e.error is None]

@@ -38,7 +38,8 @@ class PerformanceMetric:
     """Mean squared error for regression scores, accuracy for classification.
 
     ``threshold`` binarizes scores (both predictions and targets) and is
-    only consulted for accuracy.
+    only consulted for accuracy. It must lie in (0, 1) for every kind, so
+    the report echoes a finite number.
     """
 
     kind: str = "mse"
@@ -47,7 +48,7 @@ class PerformanceMetric:
     def __post_init__(self):
         if self.kind not in METRIC_KINDS:
             raise ValueError(f"metric kind must be one of {METRIC_KINDS}")
-        if self.kind == "accuracy" and not (0.0 < self.threshold < 1.0):
+        if not 0.0 < self.threshold < 1.0:
             raise ValueError(f"threshold must lie in (0,1), got {self.threshold}")
 
 

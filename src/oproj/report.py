@@ -106,7 +106,8 @@ def build_document(
 
 def write_json(doc: dict, path: str | Path) -> Path:
     path = Path(path)
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    text = json.dumps(doc, indent=2, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
     return path
 
 

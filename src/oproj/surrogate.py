@@ -8,7 +8,6 @@ masquerade as the real thing.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -19,6 +18,8 @@ from .errors import DimensionError, NonFiniteFitError, SingularSystemError
 from .linalg import FeatureMatrix
 
 GRADIENT_TOL = 1e-6
+# Newton's method converges in about ten steps; the cap ends a fit that does not.
+MAX_ITER = 100
 # Share of the rows held out from fitting to score the stand-in's fidelity.
 HOLDOUT_FRACTION = 0.2
 
@@ -36,7 +37,6 @@ class RidgeModel:
 
     coefficients: np.ndarray
     intercept: float
-    lam: float
     fit_r2: float
 
     def predict(self, X: FeatureMatrix | np.ndarray) -> np.ndarray:
@@ -45,18 +45,20 @@ class RidgeModel:
 
 @dataclass(frozen=True)
 class LogisticModel:
-    """Full-batch gradient-descent logistic fit on mean log-loss."""
+    """Newton's-method logistic fit (see fit_logistic) on native scale.
+
+    ``losses`` holds the non-increasing loss at each of ``iterations``
+    gradient evaluations; ``converged`` is False if MAX_ITER stopped the fit.
+    """
 
     coefficients: np.ndarray
     intercept: float
     iterations: int
-    final_grad_norm: float
     converged: bool
     losses: tuple[float, ...]
 
     def predict_proba(self, X: FeatureMatrix | np.ndarray) -> np.ndarray:
-        z = _design(X) @ self.coefficients + self.intercept
-        return 1.0 / (1.0 + np.exp(-z))
+        return _sigmoid(_design(X) @ self.coefficients + self.intercept)
 
     def predict(self, X: FeatureMatrix | np.ndarray) -> np.ndarray:
         return self.predict_proba(X)
@@ -85,9 +87,14 @@ def _r_squared(y: np.ndarray, pred: np.ndarray) -> float:
     return 1.0 - ss_res / ss_tot
 
 
+def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``gram⁻¹ rhs`` by ``np.linalg.cholesky`` and two solves against L."""
+    L = np.linalg.cholesky(gram)
+    return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+
+
 def fit_ridge(X: FeatureMatrix | np.ndarray, y, lam: float = 1e-3) -> RidgeModel:
-    """Solve the ridge normal equations by Cholesky factorization
-    (``np.linalg.cholesky``, then two solves against the factor).
+    """Solve the ridge normal equations by Cholesky factorization.
 
     Minimizes ||y - (b + X w)||^2 + lam * ||w||^2; the intercept b is not
     penalized. A singular system (possible only at lam = 0) raises
@@ -118,27 +125,20 @@ def fit_ridge(X: FeatureMatrix | np.ndarray, y, lam: float = 1e-3) -> RidgeModel
             "ridge normal equations overflow float64; rescale the data or the target"
         )
     try:
-        L = np.linalg.cholesky(gram)
+        w = _cholesky_solve(gram, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
             "normal equations are singular; retry with lam > 0"
         ) from exc
-    w = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
     with np.errstate(over="ignore", invalid="ignore"):
         fit_r2 = _r_squared(y, Z @ w)
     if not (np.isfinite(w).all() and np.isfinite(fit_r2)):
         raise NonFiniteFitError(
             "ridge fit is not finite in float64; rescale the data or the target"
         )
-    intercept = float(w[0])
     coefficients = w[1:].copy()
     coefficients.flags.writeable = False
-    return RidgeModel(
-        coefficients=coefficients,
-        intercept=intercept,
-        lam=float(lam),
-        fit_r2=fit_r2,
-    )
+    return RidgeModel(coefficients=coefficients, intercept=float(w[0]), fit_r2=fit_r2)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -156,18 +156,17 @@ def _log_loss(y: np.ndarray, p: np.ndarray) -> float:
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
-def fit_logistic(
-    X: FeatureMatrix | np.ndarray,
-    y,
-    max_iter: int = 500,
-    step: float = 0.1,
-) -> LogisticModel:
-    """Gradient descent on mean log-loss until the gradient max-norm drops
-    below 1e-6 or the iteration cap is hit.
+def fit_logistic(X: FeatureMatrix | np.ndarray, y) -> LogisticModel:
+    """Newton's method (iteratively reweighted least squares) on mean
+    log-loss over the z-scored design, mapped back to native scale.
 
-    Hitting the cap (e.g. on separable data, where the optimum is at
-    infinity) returns the model with ``converged=False`` rather than
-    raising. Inputs should be standardized for the default step to be safe.
+    A zero-deviation column is divided by 1. The Hessian's damping, 1e-10·I,
+    keeps a constant or duplicated column from stalling the fit and leaves
+    the optimum unchanged. A step is halved until the loss does not rise.
+    The fit stops at gradient max-norm <= GRADIENT_TOL, or after MAX_ITER
+    evaluations with ``converged=False``, which is not raised. A
+    column whose mean or deviations overflow float64 (values near 1e308)
+    raises NonFiniteFitError.
     """
     A = _design(X)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
@@ -176,34 +175,45 @@ def fit_logistic(
         raise DimensionError(f"target length {y.shape[0]} vs {n} rows")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("logistic targets must be 0/1")
-    Z = np.column_stack([np.ones(n), A])
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = A.mean(axis=0)
+        dev = A - mean
+        # Deviations over their peak square without overflow or underflow,
+        # so a column at 1e200 or 1e-170 keeps its sd.
+        peak = np.max(np.abs(dev), axis=0)
+        peak[peak == 0.0] = 1.0
+        sd = peak * np.sqrt(np.mean((dev / peak) ** 2, axis=0))
+    if not (np.isfinite(mean).all() and np.isfinite(sd).all()):
+        raise NonFiniteFitError("logistic design overflows float64; rescale the data")
+    sd[sd == 0.0] = 1.0
+    Z = np.column_stack([np.ones(n), dev / sd])
+    damping = 1e-10 * np.eye(k + 1)
     w = np.zeros(k + 1)
-    losses: list[float] = []
-    grad_norm = math.inf
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        p = _sigmoid(Z @ w)
-        losses.append(_log_loss(y, p))
+    p = _sigmoid(Z @ w)
+    losses = [_log_loss(y, p)]
+    while True:
         grad = Z.T @ (p - y) / n
-        grad_norm = float(np.max(np.abs(grad)))
-        if grad_norm <= GRADIENT_TOL:
+        converged = float(np.max(np.abs(grad))) <= GRADIENT_TOL
+        if converged or len(losses) == MAX_ITER:
             break
-        w = w - step * grad
-    coefficients = w[1:].copy()
+        step = _cholesky_solve((Z.T * (p * (1.0 - p))) @ Z / n + damping, grad)
+        while True:
+            p_next = _sigmoid(Z @ (w - step))
+            loss = _log_loss(y, p_next)
+            if loss <= losses[-1]:
+                break
+            step = step / 2.0
+        w, p = w - step, p_next
+        losses.append(loss)
+    coefficients = w[1:] / sd
     coefficients.flags.writeable = False
     return LogisticModel(
         coefficients=coefficients,
-        intercept=float(w[0]),
-        iterations=iterations,
-        final_grad_norm=grad_norm,
-        converged=grad_norm <= GRADIENT_TOL,
+        intercept=float(w[0] - coefficients @ mean),
+        iterations=len(losses),
+        converged=converged,
         losses=tuple(losses),
     )
-
-
-def surrogate_handle(m: RidgeModel | LogisticModel) -> ModelHandle:
-    """Wrap a fitted stand-in as a model handle."""
-    return InProcessModel(m.predict)
 
 
 @dataclass(frozen=True)
@@ -222,8 +232,6 @@ def train_surrogate(
     *,
     lam: float = 1e-3,
     seed: int = 0,
-    max_iter: int = 500,
-    step: float = 0.1,
 ) -> SurrogateFit:
     """Fit a stand-in on a seeded 80/20 split and score it on the holdout.
 
@@ -250,7 +258,7 @@ def train_surrogate(
         fidelity_value = _r_squared(y[hold_rows], model.predict(X_hold))
         kind = "r2"
     else:
-        model = fit_logistic(X_train, y[train_rows], max_iter=max_iter, step=step)
+        model = fit_logistic(X_train, y[train_rows])
         agree = (model.predict_proba(X_hold) >= 0.5) == (y[hold_rows] >= 0.5)
         fidelity_value = float(np.mean(agree))
         kind = "agreement"
@@ -262,4 +270,6 @@ def train_surrogate(
         holdout_fraction=HOLDOUT_FRACTION,
         n_holdout=int(n_hold),
     )
-    return SurrogateFit(model=model, fidelity=fidelity, handle=surrogate_handle(model))
+    return SurrogateFit(
+        model=model, fidelity=fidelity, handle=InProcessModel(model.predict)
+    )

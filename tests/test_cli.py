@@ -77,6 +77,11 @@ class TestParsers:
         monkeypatch.setenv("OPROJ_SEED", "42")
         assert resolve_seed(None) == 42
         assert resolve_seed(7) == 7
+        with pytest.raises(ValueError, match="--seed must be a non-negative"):
+            resolve_seed(-1)
+        monkeypatch.setenv("OPROJ_SEED", "-3")
+        with pytest.raises(ValueError, match="OPROJ_SEED must be a non-negative"):
+            resolve_seed(None)
 
 
 class TestSynth:
@@ -256,19 +261,23 @@ class TestAudit:
         assert info.value.code == 2
 
     def test_bad_threshold_exit_2(self, tmp_path):
+        # Every kind refuses a threshold outside (0, 1): report.json would
+        # echo nan or inf, which strict JSON cannot hold.
         data = synth(tmp_path)
-        with pytest.raises(SystemExit) as info:
-            main(
-                [
-                    "audit",
-                    "--data", str(data),
-                    "--model", LINEAR_MODEL,
-                    "--metric", "accuracy",
-                    "--threshold", "1.5",
-                    "--out", str(tmp_path / "out"),
-                ]
-            )
-        assert info.value.code == 2
+        for metric, threshold in [("accuracy", "1.5"), ("mse", "nan"), ("mse", "inf")]:
+            with pytest.raises(SystemExit) as info:
+                main(
+                    [
+                        "audit",
+                        "--data", str(data),
+                        "--model", LINEAR_MODEL,
+                        "--metric", metric,
+                        "--threshold", threshold,
+                        "--out", str(tmp_path / "out"),
+                    ]
+                )  # fmt: skip
+            assert info.value.code == 2
+            assert not (tmp_path / "out" / "report.json").exists()
 
     def test_transforms_none_flag(self, tmp_path):
         data = synth(tmp_path)
@@ -507,6 +516,47 @@ class TestAudit:
             )  # fmt: skip
         assert info.value.code == 2
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--format", "pdf"), ("--seed", "-1")]
+    )  # fmt: skip
+    def test_usage_error_exit_2_before_data_is_read(self, tmp_path, capsys, flag, value):
+        # The data file does not exist: a check that ran after the load
+        # would exit 1 with the file error instead.
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main(
+                [
+                    "audit",
+                    "--data", str(tmp_path / "missing.csv"),
+                    "--model", LINEAR_MODEL,
+                    flag, value,
+                    "--out", str(out),
+                ]
+            )  # fmt: skip
+        assert info.value.code == 2
+        assert "missing.csv" not in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_logistic_surrogate_at_iteration_cap_warns(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("oproj.surrogate.MAX_ITER", 1)
+        rng = np.random.default_rng(2)
+        rows = rng.standard_normal((200, 2))
+        lines = ["a,b,target"] + [
+            f"{a!r},{b!r},{float(a + 0.5 * b > 0)!r}" for a, b in rows.tolist()
+        ]
+        csv_path = tmp_path / "binary.csv"
+        csv_path.write_text("\n".join(lines) + "\n")
+        flags = ["--data", str(csv_path), "--surrogate", "logistic",
+                 "--target", "column:target"]  # fmt: skip
+        out = tmp_path / "out"
+        assert main(["audit", *flags, "--out", str(out)]) == 0
+        warnings = json.loads((out / "report.json").read_text())["warnings"]
+        assert len(warnings) == 1
+        assert "did not converge in 1 iterations" in warnings[0]
+        capsys.readouterr()
+        assert main(["validate", *flags]) == 0
+        assert f"warning: {warnings[0]}" in capsys.readouterr().out.splitlines()
 
     def test_schema_target_conflicts_with_captured_exit_2(self, tmp_path):
         data = synth(tmp_path)

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import importlib
 import os
@@ -83,4 +84,22 @@ def test_every_bench_hook_name_resolves():
             holder = getattr(holder, attr, None)
         if holder is None:
             missing.append(f"{module_name}.{dotted}")
+    assert missing == []
+
+
+def test_every_cli_option_is_documented_in_readme():
+    from oproj.cli import build_parser
+
+    readme = (ROOT / "README.md").read_text()
+    (subcommands,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    missing = sorted(
+        option
+        for name in ("audit", "validate", "synth")
+        for action in subcommands.choices[name]._actions
+        if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings
+        if not re.search(rf"{re.escape(option)}(?![\w-])", readme)
+    )
     assert missing == []
