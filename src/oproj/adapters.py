@@ -46,7 +46,9 @@ class ModelHandle(ABC):
     while the model answers this one: ``prepare`` checks the column names
     and encodes the query, ``launch`` starts the model on it, and
     ``collect`` waits for the reply and validates it. ``abort`` stops a
-    launched query whose reply is no longer wanted.
+    launched query whose reply is no longer wanted. Several launched
+    queries may be in flight at once, each collected or aborted once;
+    ``rank_all`` keeps up to two.
     """
 
     feature_names: tuple[str, ...] | None = None

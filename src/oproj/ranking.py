@@ -9,7 +9,10 @@ and records |baseline - new| as that feature's dependence.
 
 from __future__ import annotations
 
+import os
+from collections import deque
 from dataclasses import dataclass, field
+
 import numpy as np
 
 from .adapters import ModelHandle, capture_outputs
@@ -285,6 +288,17 @@ def _normalize_entries(
     return tuple(scored + errored)
 
 
+def _model_width() -> int:
+    """How many launched queries rank_all keeps in flight: two when this
+    process may run on two or more CPUs, else one. The cap bounds the extra
+    memory at one more model process."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(2, cpus)
+
+
 def rank_all(
     model: ModelHandle,
     X: FeatureMatrix,
@@ -316,13 +330,30 @@ def rank_all(
         )
     prepared = _prepare(X, cfg)
 
-    # One query of lookahead: feature j+1's query is built and encoded
-    # while the model answers feature j's, and launched only once j's reply
-    # is collected, so one model runs at a time. The last pass builds
-    # nothing and only collects.
+    # Lookahead: up to _model_width() launched queries are in flight.
+    # Feature j+1's query is built and encoded while their models answer;
+    # when the flight is full its oldest query is collected and scored
+    # before j+1's is launched, so replies are scored in launch order. An
+    # in-process model answers inside launch, so its flight holds finished
+    # predictions. The last pass builds nothing and collects what is left.
+    width = _model_width()
     outcomes: list[AuditOutcome] = []
     errors: dict[str, str] = {}
-    flight = None  # (name, dropped count, running query) of feature j
+    flight: deque = deque()  # (name, dropped count, running query), oldest first
+
+    def settle_oldest() -> None:
+        # A function, so that the reply it scores is freed on return and
+        # the only predictions alive are those of the queries in flight.
+        previous, previous_dropped, running = flight[0]
+        try:
+            pred = model.collect(running)
+            outcomes.append(
+                _score(previous, previous_dropped, pred, target, cfg, baseline)
+            )
+        except _AUDIT_ERRORS as exc:
+            errors[previous] = str(_named(exc, previous))
+        flight.popleft()
+
     try:
         for name in (*X.names, None):
             # Feature j's query goes before j+1's is built, so one n x k
@@ -334,24 +365,16 @@ def rank_all(
                     encoded = model.prepare(query)
                 except _AUDIT_ERRORS as exc:
                     errors[name] = str(_named(exc, name))
-            if flight is not None:
-                previous, previous_dropped, running = flight
-                try:
-                    pred = model.collect(running)
-                    outcomes.append(
-                        _score(previous, previous_dropped, pred, target, cfg, baseline)
-                    )
-                except _AUDIT_ERRORS as exc:
-                    errors[previous] = str(_named(exc, previous))
-                flight = None
+            while flight and (name is None or len(flight) == width):
+                settle_oldest()
             if encoded is not None:
                 try:
-                    flight = (name, dropped, model.launch(encoded))
+                    flight.append((name, dropped, model.launch(encoded)))
                 except _AUDIT_ERRORS as exc:
                     errors[name] = str(_named(exc, name))
     finally:
-        if flight is not None:
-            model.abort(flight[2])
+        for _, _, running in flight:
+            model.abort(running)
     if not outcomes:
         raise AuditFailedError(
             f"all {X.k} feature audits failed: {sorted(errors.values())}"

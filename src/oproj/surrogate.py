@@ -165,8 +165,9 @@ def fit_logistic(X: FeatureMatrix | np.ndarray, y) -> LogisticModel:
     the optimum unchanged. A step is halved until the loss does not rise.
     The fit stops at gradient max-norm <= GRADIENT_TOL, or after MAX_ITER
     evaluations with ``converged=False``, which is not raised. A
-    column whose mean or deviations overflow float64 (values near 1e308)
-    raises NonFiniteFitError.
+    column whose mean or deviations overflow float64 (values near 1e308),
+    or a fit whose native-scale coefficients or intercept do (a column
+    whose sd is subnormal, below about 1e-308), raises NonFiniteFitError.
     """
     A = _design(X)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
@@ -205,11 +206,17 @@ def fit_logistic(X: FeatureMatrix | np.ndarray, y) -> LogisticModel:
             step = step / 2.0
         w, p = w - step, p_next
         losses.append(loss)
-    coefficients = w[1:] / sd
+    with np.errstate(over="ignore", invalid="ignore"):
+        coefficients = w[1:] / sd
+        intercept = float(w[0] - coefficients @ mean)
+    if not (np.isfinite(coefficients).all() and np.isfinite(intercept)):
+        raise NonFiniteFitError(
+            "logistic coefficients overflow float64 at native scale; rescale the data"
+        )
     coefficients.flags.writeable = False
     return LogisticModel(
         coefficients=coefficients,
-        intercept=float(w[0] - coefficients @ mean),
+        intercept=intercept,
         iterations=len(losses),
         converged=converged,
         losses=tuple(losses),

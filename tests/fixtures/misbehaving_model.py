@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
 """Fixture model that violates the wire protocol on demand.
 
-Usage: misbehaving_model.py MODE [COLUMN]
+Usage: misbehaving_model.py MODE [COLUMNS]
   short     emit n-1 prediction lines
   malformed emit a non-numeric line at row 1
   nonfinite emit NaN at row 0
   fail      exit 3 after reading input
   hang      read input then sleep far past any test timeout
-  constant  exit 1 if COLUMN is constant, else emit the row sums
-  stall     sleep far past any test timeout if COLUMN is constant, else
-            emit the row sums
+  constant  exit 1 if a column named in COLUMNS is constant, else emit the
+            row sums
+  stall     sleep far past any test timeout if a column named in COLUMNS
+            is constant, else emit the row sums
   binary    emit the row sums, with a byte that is not UTF-8 in place of
-            row 0's if COLUMN is constant
+            row 0's if a column named in COLUMNS is constant
+
+COLUMNS is one column name or several joined by commas.
 """
 import sys
 import time
@@ -40,8 +43,9 @@ def main():
         time.sleep(60)
     elif mode in ("constant", "stall", "binary"):
         rows = [[float(c) for c in row.split(",")] for row in lines[1:] if row.strip()]
-        j = lines[0].split(",").index(sys.argv[2])
-        if len({row[j] for row in rows}) == 1:
+        header = lines[0].split(",")
+        named = [header.index(name) for name in sys.argv[2].split(",")]
+        if any(len({row[j] for row in rows}) == 1 for j in named):
             if mode == "binary":
                 sys.stdout.buffer.write(b"\xff\n")
                 rows = rows[1:]

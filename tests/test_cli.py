@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oproj.ranking as ranking
 from conftest import fixture_command
 from oproj.cli import main, parse_replacement, parse_target, parse_transforms, resolve_seed
 from oproj.transforms import TransformSet
@@ -32,6 +34,35 @@ def synth(tmp_path, text=None, name="data.csv"):
     out = tmp_path / name
     assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 0
     return out
+
+
+def run_cli(argv, *, cpu=None, **env):
+    """Run ``oproj`` in a child interpreter with ``env`` added to its
+    environment, pinned to CPU ``cpu`` when one is given."""
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    pin = "" if cpu is None else f"os.sched_setaffinity(0, {{{cpu}}}); "
+    code = f"import os, sys; {pin}from oproj.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=300
+    )
+
+
+def report_text(out):
+    """``report.json`` in ``out``, with its timestamp blanked."""
+    text = (out / "report.json").read_text()
+    return re.sub(r'"generated_at": "[^"]*"', '"generated_at": ""', text)
+
+
+def most_at_once(runs):
+    """The largest number of (start, end) intervals that overlap at one
+    moment; an interval ending when another starts does not overlap it."""
+    events = sorted([(start, 1) for start, _ in runs] + [(end, -1) for _, end in runs])
+    running = most = 0
+    for _, step in events:
+        running += step
+        most = max(most, running)
+    return most
 
 
 class TestParsers:
@@ -135,25 +166,66 @@ class TestAudit:
         assert doc["config"]["seed"] == 7
         assert doc["config"]["target"] == "column:target"
 
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity"), reason="pins the audit to one CPU"
+    )
     def test_one_model_process_at_a_time(self, tmp_path):
+        """An audit that may run on one CPU runs one model at a time."""
         data = synth(tmp_path)
         lock, count = tmp_path / "model.lock", tmp_path / "count.txt"
         model = f"{fixture_command('exclusive_model.py')} {lock} {count}"
         out = tmp_path / "out"
-        code = main(
-            [
-                "audit",
-                "--data", str(data),
-                "--model", model,
-                "--target", "column:target",
-                "--out", str(out),
-            ]
-        )  # fmt: skip
+        argv = ["audit", "--data", str(data), "--model", model, "--target", "column:target",
+                "--out", str(out)]  # fmt: skip
+        proc = run_cli(argv, cpu=min(os.sched_getaffinity(0)))
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads((out / "report.json").read_text())
+        assert [e["error"] for e in doc["entries"]] == [None] * 4
+        assert len(count.read_text().splitlines()) == 5
+        assert not lock.exists()
+
+    def test_two_model_processes_at_a_time_at_width_two(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ranking, "_model_width", lambda: 2)
+        data = synth(tmp_path)
+        log = tmp_path / "runs.txt"
+        model = f"{fixture_command('interval_model.py')} {log}"
+        out = tmp_path / "out"
+        code = main(["audit", "--data", str(data), "--model", model, "--target", "column:target",
+                     "--out", str(out)])  # fmt: skip
+        assert code == 0
+        runs = [tuple(map(float, line.split())) for line in log.read_text().splitlines()]
+        assert len(runs) == 5
+        assert most_at_once(runs) == 2
+
+    @pytest.mark.skipif(shutil.which("flock") is None, reason="needs the flock command")
+    def test_flock_runs_a_model_alone_at_width_two(self, tmp_path, monkeypatch):
+        # The README's recipe for a model that must run alone.
+        monkeypatch.setattr(ranking, "_model_width", lambda: 2)
+        data = synth(tmp_path)
+        lock, count = tmp_path / "model.lock", tmp_path / "count.txt"
+        model = (
+            f"flock {tmp_path / 'flock.lock'} "
+            f"{fixture_command('exclusive_model.py')} {lock} {count}"
+        )
+        out = tmp_path / "out"
+        code = main(["audit", "--data", str(data), "--model", model, "--target", "column:target",
+                     "--out", str(out)])  # fmt: skip
         assert code == 0
         doc = json.loads((out / "report.json").read_text())
         assert [e["error"] for e in doc["entries"]] == [None] * 4
         assert len(count.read_text().splitlines()) == 5
         assert not lock.exists()
+
+    def test_report_identical_at_width_one_and_two(self, tmp_path, monkeypatch):
+        data = synth(tmp_path)
+        reports = []
+        for width in (1, 2):
+            monkeypatch.setattr(ranking, "_model_width", lambda: width)
+            out = tmp_path / f"width{width}"
+            argv = ["audit", "--data", str(data), "--model", LINEAR_MODEL, "--out", str(out)]
+            assert main(argv) == 0
+            reports.append(report_text(out))
+        assert reports[0] == reports[1]
 
     def test_report_identical_across_blas_thread_counts(self, tmp_path):
         """A 3000x12 audit reports the same bits under 1 and 2 OpenBLAS
@@ -165,22 +237,11 @@ class TestAudit:
         data = synth(tmp_path, f"n=3000\ncoefficients={coefficients}\nnoise_sd=0.1\nseed=7\n")
         reports = []
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(
-                p for p in (str(SRC), env.get("PYTHONPATH")) if p
-            )
             out = tmp_path / f"threads{threads}"
             argv = ["audit", "--data", str(data), "--model", LINEAR_MODEL, "--out", str(out)]
-            proc = subprocess.run(
-                [sys.executable, "-m", "oproj.cli", *argv],
-                env=env,
-                capture_output=True,
-                text=True,
-                timeout=300,
-            )
+            proc = run_cli(argv, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
             assert proc.returncode == 0, proc.stderr
-            text = (out / "report.json").read_text()
-            reports.append(re.sub(r'"generated_at": "[^"]*"', '"generated_at": ""', text))
+            reports.append(report_text(out))
         assert reports[0] == reports[1]
 
     def test_all_formats_written(self, tmp_path):

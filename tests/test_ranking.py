@@ -610,17 +610,14 @@ class TestRankAll:
 
 
 class TestLookahead:
-    """rank_all encodes feature j+1's query while the model answers j's."""
+    """rank_all encodes feature j+1's query while the models of the queries
+    in flight answer, with up to ``_model_width()`` of them in flight."""
 
-    def test_failing_feature_flagged_and_rest_match_sequential(self, rng):
+    def test_failing_feature_flagged_and_rest_match_sequential(self, monkeypatch, rng):
         m = matrix(rng.standard_normal((50, 4)))
         command = (*fixture_command("misbehaving_model.py").split(), "constant", "x3")
         h = SubprocessModel(SubprocessSpec(command))
         cfg = AuditConfig()
-        report = rank_all(h, m, cfg)
-
-        error = report.entry("x3").error
-        assert error is not None and "feature 'x3'" in error and "status 1" in error
         target = h.predict_batch(m)
         baseline = compute_metric(target, target, cfg.metric)
         expected = {
@@ -628,40 +625,62 @@ class TestLookahead:
             for name in ("x1", "x2", "x4")
         }
         top = max(o.raw_delta for o in expected.values())
-        for name, outcome in expected.items():
-            entry = report.entry(name)
-            assert entry.error is None
-            assert entry.raw_delta == outcome.raw_delta
-            assert entry.dropped_count == outcome.dropped_count
-            assert entry.normalized == 100.0 * (outcome.raw_delta / top)
+        for width in (1, 2):
+            monkeypatch.setattr(ranking, "_model_width", lambda: width)
+            report = rank_all(h, m, cfg)
+
+            error = report.entry("x3").error
+            assert error is not None and "feature 'x3'" in error and "status 1" in error
+            for name, outcome in expected.items():
+                entry = report.entry(name)
+                assert entry.error is None
+                assert entry.raw_delta == outcome.raw_delta
+                assert entry.dropped_count == outcome.dropped_count
+                assert entry.normalized == 100.0 * (outcome.raw_delta / top)
 
     @needs_proc
     def test_exception_kills_the_model_in_flight(self, tmp_path, monkeypatch, rng):
         pidfile = tmp_path / "pids"
         fixture = str(FIXTURES / "misbehaving_model.py")
-        model = shlex.join([sys.executable, fixture, "stall", "x1"])
+        model = shlex.join([sys.executable, fixture, "stall", "x1,x2"])
         script = f"echo $$ >> {shlex.quote(str(pidfile))}; exec {model}"
         h = SubprocessModel(SubprocessSpec(("sh", "-c", script), timeout=60.0))
         build = ranking._build_query
 
-        def failing_second_build(prepared, current, cfg):
-            if current == "x2":
-                # Let x1's model start before the build fails.
+        def failing_third_build(prepared, current, cfg):
+            if current == "x3":
+                # Let x1's and x2's models start before the build fails.
                 deadline = time.monotonic() + 10.0
-                while len(pidfile.read_text().split()) < 2 and time.monotonic() < deadline:
+                while len(pidfile.read_text().split()) < 3 and time.monotonic() < deadline:
                     time.sleep(0.01)
                 raise RuntimeError("build failed")
             return build(prepared, current, cfg)
 
-        monkeypatch.setattr(ranking, "_build_query", failing_second_build)
+        monkeypatch.setattr(ranking, "_model_width", lambda: 2)
+        monkeypatch.setattr(ranking, "_build_query", failing_third_build)
         started = time.monotonic()
         with pytest.raises(RuntimeError, match="build failed"):
             rank_all(h, matrix(rng.standard_normal((20, 3))), AuditConfig())
-        # x1's query stalls; it was in flight when x2's build raised.
+        # x1's and x2's queries stall; both were in flight when x3's build
+        # raised.
         assert time.monotonic() - started < 30.0
         pids = [int(p) for p in pidfile.read_text().split()]
-        assert len(pids) == 2
+        assert len(pids) == 3
         assert all(process_gone(pid) for pid in pids)
+
+    def test_timeout_flags_only_its_feature_beside_a_running_model(
+        self, monkeypatch, rng
+    ):
+        # x1's and x2's models run side by side; x1's stalls past its
+        # budget while x2's answers.
+        command = (*fixture_command("misbehaving_model.py").split(), "stall", "x1")
+        h = SubprocessModel(SubprocessSpec(command, timeout=2.0))
+        monkeypatch.setattr(ranking, "_model_width", lambda: 2)
+        report = rank_all(h, matrix(rng.standard_normal((20, 3))), AuditConfig())
+        error = report.entry("x1").error
+        assert error is not None and "feature 'x1'" in error and "exceeded timeout" in error
+        assert report.entry("x2").error is None and report.entry("x3").error is None
+        assert report.entry("x2").raw_delta > 0.0
 
     def test_model_done_before_a_slow_build_is_scored(self, monkeypatch, rng):
         # x1's model answers at once, but x2's build outlasts the time

@@ -219,6 +219,16 @@ class TestFitLogistic:
         with pytest.raises(NonFiniteFitError, match="logistic design overflows"):
             fit_logistic(matrix(data), (data[:, 0] > 0).astype(float))
 
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_column_raises_by_name(self, rng):
+        # The fit runs on z-scores, but a column at 1e-320 has a subnormal
+        # sd, and its coefficient overflows once mapped back to native scale.
+        data = rng.standard_normal((2000, 2))
+        y = (data[:, 0] + data[:, 1] > 0).astype(float)
+        data[:, 1] *= 1e-320
+        with pytest.raises(NonFiniteFitError, match="coefficients overflow"):
+            fit_logistic(matrix(data), y)
+
     def test_rejects_non_binary_targets(self, rng):
         X = rng.standard_normal((10, 1))
         with pytest.raises(ValueError, match="0/1"):
