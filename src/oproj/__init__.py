@@ -49,7 +49,6 @@ from .linalg import (
 from .oracle import loco_refit_importances, spearman_rank_correlation
 from .ranking import (
     AuditConfig,
-    AuditOutcome,
     DependenceReport,
     FeatureResult,
     PerformanceMetric,

@@ -125,11 +125,10 @@ class InProcessModel(ModelHandle):
 
 @dataclass(frozen=True)
 class SubprocessSpec:
-    """How to invoke an external model: argv, time budget, batch cap."""
+    """How to invoke an external model: argv and time budget."""
 
     command: tuple[str, ...]
     timeout: float = 60.0
-    max_batch_rows: int = 1_000_000
 
     def __post_init__(self):
         if not self.command:
@@ -140,8 +139,6 @@ class SubprocessSpec:
                 f"timeout must be in (0, {threading.TIMEOUT_MAX:g}] seconds, "
                 f"got {self.timeout}"
             )
-        if not self.max_batch_rows >= 1:
-            raise ValueError(f"max_batch_rows must be >= 1, got {self.max_batch_rows}")
         object.__setattr__(self, "command", tuple(self.command))
 
 
@@ -267,10 +264,6 @@ class SubprocessModel(ModelHandle):
         self.feature_names = tuple(feature_names) if feature_names is not None else None
 
     def _encode(self, X: FeatureMatrix) -> _Payload:
-        if X.n > self.spec.max_batch_rows:
-            raise AdapterError(
-                f"batch of {X.n} rows exceeds cap {self.spec.max_batch_rows}"
-            )
         file = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
         try:
             format_matrix_csv(X.names, X.data, file)

@@ -75,15 +75,14 @@ def parse_target(spec: str) -> tuple[str, str | None]:
 def parse_replacement(spec: str) -> tuple[str, float]:
     if spec in ("mean", "zero"):
         return spec, 0.0
-    for prefix in ("const:", "constant:"):
-        if spec.startswith(prefix):
-            try:
-                value = float(spec[len(prefix) :])
-                if math.isfinite(value):
-                    return "constant", value
-            except ValueError:
-                pass
-            raise ValueError(f"replacement constant in '{spec}' must be a finite number")
+    if spec.startswith("const:"):
+        try:
+            value = float(spec[len("const:") :])
+            if math.isfinite(value):
+                return "constant", value
+        except ValueError:
+            pass
+        raise ValueError(f"replacement constant in '{spec}' must be a finite number")
     raise ValueError(f"--replacement must be mean, zero, or const:VALUE, got '{spec}'")
 
 
@@ -138,9 +137,6 @@ def _add_shared_audit_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--seed", type=int, default=None, help=f"default: ${ENV_SEED} or 0")
     p.add_argument("--timeout", type=float, default=60.0, help="subprocess seconds")
-    p.add_argument(
-        "--max-batch-rows", type=int, default=1_000_000, help="subprocess row cap"
-    )
     p.add_argument("--ridge-lambda", type=float, default=1e-3)
     p.add_argument(
         "--check-repeatability",
@@ -177,12 +173,12 @@ def build_parser() -> argparse.ArgumentParser:
         "validate", help="compare the audit against a brute-force refit oracle"
     )
     _add_shared_audit_flags(p_val)
-    p_val.add_argument("--oracle", choices=["refit-loco"], default="refit-loco")
     return parser
 
 
 def _prepare_audit_inputs(args, parser: argparse.ArgumentParser):
-    """Shared setup for audit/validate: schema, data, model handle, config."""
+    """Shared setup for audit/validate: data, recorded target, model handle,
+    surrogate fidelity and notes, schema and config."""
     try:
         transforms = parse_transforms(args.transforms)
         target_mode, target_col = parse_target(args.target)
@@ -197,9 +193,7 @@ def _prepare_audit_inputs(args, parser: argparse.ArgumentParser):
             command = tuple(shlex.split(args.model))
             if not command:
                 raise ValueError("--model command is empty")
-            spec = SubprocessSpec(
-                command, timeout=args.timeout, max_batch_rows=args.max_batch_rows
-            )
+            spec = SubprocessSpec(command, timeout=args.timeout)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -215,8 +209,6 @@ def _prepare_audit_inputs(args, parser: argparse.ArgumentParser):
         parser.error("--surrogate needs a recorded target; pass --target column:NAME")
 
     X, y = load_csv(args.data, schema)
-    if target_mode == "column" and y is None:
-        raise OprojError(f"target column '{target_col}' not found in {args.data}")
 
     fidelity = None
     notes: tuple[str, ...] = ()
@@ -229,16 +221,8 @@ def _prepare_audit_inputs(args, parser: argparse.ArgumentParser):
                 f"logistic surrogate did not converge in {fit.model.iterations} "
                 "iterations; the audit describes a stand-in that may fit poorly",
             )
-        model_descriptor = f"surrogate:{args.surrogate}"
-        # The recorded target trained the stand-in; the audit itself follows
-        # the captured policy against the stand-in's own outputs.
-        y_audit = None
-        target_policy = "captured(surrogate)"
     else:
         handle = SubprocessModel(spec, feature_names=X.names)
-        model_descriptor = f"subprocess:{args.model}"
-        y_audit = y if target_mode == "column" else None
-        target_policy = f"column:{target_col}" if target_mode == "column" else "captured"
 
     cfg = AuditConfig(
         metric=metric,
@@ -249,18 +233,7 @@ def _prepare_audit_inputs(args, parser: argparse.ArgumentParser):
         seed=seed,
         check_repeatability=args.check_repeatability,
     )
-    return (
-        X,
-        y,
-        y_audit,
-        handle,
-        fidelity,
-        notes,
-        schema,
-        cfg,
-        model_descriptor,
-        target_policy,
-    )
+    return X, y, handle, fidelity, notes, schema, cfg
 
 
 def cmd_audit(args, parser: argparse.ArgumentParser) -> int:
@@ -268,20 +241,17 @@ def cmd_audit(args, parser: argparse.ArgumentParser) -> int:
     unknown = formats - {"json", "csv", "svg"}
     if unknown:
         parser.error(f"unknown --format values: {sorted(unknown)}")
-    (
-        X,
-        _y,
-        y_audit,
-        handle,
-        fidelity,
-        notes,
-        schema,
-        cfg,
-        model_descriptor,
-        target_policy,
-    ) = _prepare_audit_inputs(args, parser)
+    X, y, handle, fidelity, notes, schema, cfg = _prepare_audit_inputs(args, parser)
+    if args.surrogate:
+        # The recorded target trained the stand-in; the audit itself follows
+        # the captured policy against the stand-in's own outputs.
+        y, target_policy = None, "captured(surrogate)"
+        model_descriptor = f"surrogate:{args.surrogate}"
+    else:
+        target_policy = args.target
+        model_descriptor = f"subprocess:{args.model}"
 
-    report = rank_all(handle, X, cfg, y=y_audit)
+    report = rank_all(handle, X, cfg, y=y)
     report = replace(report, warnings=notes + report.warnings)
     doc = build_document(
         report,
@@ -335,18 +305,7 @@ def cmd_synth(args, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_validate(args, parser: argparse.ArgumentParser) -> int:
-    (
-        X,
-        y,
-        _y_audit,
-        handle,
-        _fidelity,
-        notes,
-        _schema,
-        cfg,
-        _model_descriptor,
-        _target_policy,
-    ) = _prepare_audit_inputs(args, parser)
+    X, y, handle, _fidelity, notes, _schema, cfg = _prepare_audit_inputs(args, parser)
 
     # Both routes score against the same reference target: the recorded
     # column, or the output that rank_all captures with its first query.
@@ -362,8 +321,11 @@ def cmd_validate(args, parser: argparse.ArgumentParser) -> int:
     print(f"{'feature':<{width}}  {'audit_delta':>14}  {'loco_refit':>14}")
     for name, audit_delta, refit in zip(names, audit_deltas, loco_values):
         print(f"{name:<{width}}  {audit_delta:>14.6g}  {refit:>14.6g}")
-    rho = spearman_rank_correlation(audit_deltas, loco_values)
-    print(f"spearman={rho:.6g}")
+    if len(names) < 2:
+        print("spearman=n/a (fewer than two scored features)")
+    else:
+        rho = spearman_rank_correlation(audit_deltas, loco_values)
+        print(f"spearman={rho:.6g}")
     for w in report.warnings:
         print(f"warning: {w}")
     return 0

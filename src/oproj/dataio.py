@@ -184,8 +184,9 @@ def load_csv(
     Numeric columns parse as float64. Categorical columns one-hot encode
     into ``<col>=<level>`` indicator columns, levels ordered
     lexicographically. Missing cells and unparseable numerics are hard
-    errors naming the row and column; duplicate headers are rejected. A
-    UTF-8 byte-order mark before the header is skipped. Returns the
+    errors naming the row and column; duplicate headers are rejected, and
+    so is a schema naming a column the header lacks, before any row is
+    parsed. A UTF-8 byte-order mark before the header is skipped. Returns the
     feature matrix and the target vector when the schema declares a target
     column.
 
@@ -208,6 +209,9 @@ def load_csv(
         if len(set(header)) != len(header):
             dupes = sorted({h for h in header if header.count(h) > 1})
             raise DataError(f"duplicate header names: {dupes}")
+        missing = sorted(set(schema.columns) - set(header))
+        if missing:
+            raise DataError(f"{path} has no columns named {missing}")
         specs = [schema.spec_for(h) for h in header]
         bulk = _parse_number_blocks(path, reader.line_num, len(header))
         if bulk is not None and not np.isfinite(bulk).all():

@@ -37,16 +37,10 @@ def loco_refit_importances(
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # ties share the mean rank
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    # Ties share their mean rank: a group of c values ending at rank r
+    # holds ranks r - c + 1 through r.
+    return (np.cumsum(counts) - (counts - 1) / 2)[group]
 
 
 def spearman_rank_correlation(a, b) -> float:

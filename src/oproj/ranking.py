@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -103,19 +103,11 @@ def compute_metric(pred, y, metric: PerformanceMetric) -> float:
 
 
 @dataclass(frozen=True)
-class AuditOutcome:
-    """Result of auditing one feature."""
-
-    name: str
-    raw_delta: float
-    b_new: float
-    dropped_count: int
-
-
-@dataclass(frozen=True)
 class FeatureResult:
     """One report row. ``raw_delta``/``normalized`` are None when the
-    feature's audit errored; ``error`` then carries the reason."""
+    feature's audit errored; ``error`` then carries the reason. A scored
+    row's ``normalized`` is None until rank_all scales it against the
+    others."""
 
     name: str
     raw_delta: float | None
@@ -132,7 +124,6 @@ class DependenceReport:
     query was scored against: the recorded target, or the captured output."""
 
     baseline: float
-    metric_kind: str
     entries: tuple[FeatureResult, ...]
     config: AuditConfig
     warnings: tuple[str, ...] = ()
@@ -231,7 +222,7 @@ def _named(exc: Exception, current: str) -> Exception:
 
 def _score(
     name: str, dropped_count: int, pred, y: np.ndarray, cfg: AuditConfig, baseline: float
-) -> AuditOutcome:
+) -> FeatureResult:
     """Measure how far the metric moved on a feature's query."""
     b_new = compute_metric(pred, y, cfg.metric)
     raw_delta = abs(baseline - b_new)
@@ -240,9 +231,7 @@ def _score(
             f"feature '{name}': the metric overflows float64 "
             f"(b_new {b_new}); rescale the data"
         )
-    return AuditOutcome(
-        name=name, raw_delta=raw_delta, b_new=b_new, dropped_count=dropped_count
-    )
+    return FeatureResult(name, raw_delta, None, dropped_count)
 
 
 def audit_feature(
@@ -252,11 +241,12 @@ def audit_feature(
     current: str,
     cfg: AuditConfig,
     baseline: float,
-) -> AuditOutcome:
+) -> FeatureResult:
     """Audit a single feature against an already-computed baseline.
 
     Issues exactly one batch query. Degenerate-feature and model errors are
-    raised with the feature name attached.
+    raised with the feature name attached. The result's ``normalized`` is
+    None: it is relative to the other features.
     """
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     query, dropped = _build_query(_prepare(X, cfg), current, cfg)
@@ -268,16 +258,11 @@ def audit_feature(
 
 
 def _normalize_entries(
-    outcomes: list[AuditOutcome], errors: dict[str, str]
+    outcomes: list[FeatureResult], errors: dict[str, str]
 ) -> tuple[FeatureResult, ...]:
     max_raw = max((o.raw_delta for o in outcomes), default=0.0)
     scored = [
-        FeatureResult(
-            name=o.name,
-            raw_delta=o.raw_delta,
-            normalized=100.0 * (o.raw_delta / max_raw) if max_raw > 0.0 else 0.0,
-            dropped_count=o.dropped_count,
-        )
+        replace(o, normalized=100.0 * (o.raw_delta / max_raw) if max_raw > 0.0 else 0.0)
         for o in outcomes
     ]
     scored.sort(key=lambda e: (-e.raw_delta, e.name))
@@ -335,9 +320,9 @@ def rank_all(
     # when the flight is full its oldest query is collected and scored
     # before j+1's is launched, so replies are scored in launch order. An
     # in-process model answers inside launch, so its flight holds finished
-    # predictions. The last pass builds nothing and collects what is left.
+    # predictions.
     width = _model_width()
-    outcomes: list[AuditOutcome] = []
+    outcomes: list[FeatureResult] = []
     errors: dict[str, str] = {}
     flight: deque = deque()  # (name, dropped count, running query), oldest first
 
@@ -354,24 +339,23 @@ def rank_all(
             errors[previous] = str(_named(exc, previous))
         flight.popleft()
 
+    def launch(name: str) -> None:
+        # A function, so that its query is freed on return and one n x k
+        # query is alive at a time.
+        query, dropped = _build_query(prepared, name, cfg)
+        encoded = model.prepare(query)
+        if len(flight) == width:
+            settle_oldest()
+        flight.append((name, dropped, model.launch(encoded)))
+
     try:
-        for name in (*X.names, None):
-            # Feature j's query goes before j+1's is built, so one n x k
-            # query is alive at a time.
-            query = encoded = None
-            if name is not None:
-                try:
-                    query, dropped = _build_query(prepared, name, cfg)
-                    encoded = model.prepare(query)
-                except _AUDIT_ERRORS as exc:
-                    errors[name] = str(_named(exc, name))
-            while flight and (name is None or len(flight) == width):
-                settle_oldest()
-            if encoded is not None:
-                try:
-                    flight.append((name, dropped, model.launch(encoded)))
-                except _AUDIT_ERRORS as exc:
-                    errors[name] = str(_named(exc, name))
+        for name in X.names:
+            try:
+                launch(name)
+            except _AUDIT_ERRORS as exc:
+                errors[name] = str(_named(exc, name))
+        while flight:
+            settle_oldest()
     finally:
         for _, _, running in flight:
             model.abort(running)
@@ -382,7 +366,6 @@ def rank_all(
     warnings = (warning,) if warning else ()
     return DependenceReport(
         baseline=baseline,
-        metric_kind=cfg.metric.kind,
         entries=_normalize_entries(outcomes, errors),
         config=cfg,
         warnings=warnings,

@@ -77,7 +77,7 @@ def build_document(
             "seed": cfg.seed,
         },
         "baseline": report.baseline,
-        "metric_kind": report.metric_kind,
+        "metric_kind": cfg.metric.kind,
         "entries": [
             {
                 "name": e.name,

@@ -57,11 +57,9 @@ class LogisticModel:
     converged: bool
     losses: tuple[float, ...]
 
-    def predict_proba(self, X: FeatureMatrix | np.ndarray) -> np.ndarray:
-        return _sigmoid(_design(X) @ self.coefficients + self.intercept)
-
     def predict(self, X: FeatureMatrix | np.ndarray) -> np.ndarray:
-        return self.predict_proba(X)
+        """The probability of class 1 for each row."""
+        return _sigmoid(_design(X) @ self.coefficients + self.intercept)
 
 
 @dataclass(frozen=True)
@@ -266,7 +264,7 @@ def train_surrogate(
         kind = "r2"
     else:
         model = fit_logistic(X_train, y[train_rows])
-        agree = (model.predict_proba(X_hold) >= 0.5) == (y[hold_rows] >= 0.5)
+        agree = (model.predict(X_hold) >= 0.5) == (y[hold_rows] >= 0.5)
         fidelity_value = float(np.mean(agree))
         kind = "agreement"
 

@@ -42,10 +42,6 @@ class TransformSet:
         """Empty set: the audit degrades to pure linear removal."""
         return cls(enable_log=False, poly_degrees=(), enable_exp=False)
 
-    @property
-    def count(self) -> int:
-        return int(self.enable_log) + len(self.poly_degrees) + int(self.enable_exp)
-
 
 def build_removal_candidates(
     X: FeatureMatrix, current: str, ts: TransformSet

@@ -23,7 +23,7 @@ from oproj.linalg import FeatureMatrix, orthonormalize, transform_against_featur
 from oproj.oracle import loco_refit_importances, spearman_rank_correlation
 from oproj.ranking import (
     AuditConfig,
-    AuditOutcome,
+    FeatureResult,
     _normalize_entries,
     compute_metric,
     rank_all,
@@ -163,7 +163,7 @@ def test_criterion_4_normalization_contract():
         if trial % 17 == 0:
             deltas[:] = 0.0
         outcomes = [
-            AuditOutcome(f"f{i:02d}", float(d), float(d), 0) for i, d in enumerate(deltas)
+            FeatureResult(f"f{i:02d}", float(d), None, 0) for i, d in enumerate(deltas)
         ]
         entries = _normalize_entries(outcomes, {})
         values = [e.normalized for e in entries]
@@ -208,7 +208,7 @@ def test_criterion_5_reduces_to_single_vector_audit():
             pred = h.predict_batch(FeatureMatrix.from_arrays(m.names, np.column_stack(cols)))
             b_new = compute_metric(pred, captured, cfg.metric)
             outcomes.append(
-                AuditOutcome(name, abs(baseline - b_new), b_new, 0)
+                FeatureResult(name, abs(baseline - b_new), None, 0)
             )
         reference_entries = _normalize_entries(outcomes, {})
         assert report.entries == reference_entries  # bitwise float equality

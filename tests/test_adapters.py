@@ -297,18 +297,10 @@ class TestSubprocessModel:
         with pytest.raises(AdapterError, match="no/such/model-binary"):
             h.predict_batch(m)
 
-    def test_batch_cap(self):
-        m = matrix([[1.0], [2.0], [3.0]])
-        h = SubprocessModel(
-            SubprocessSpec(tuple(fixture_command("sum_model.py").split()), max_batch_rows=2)
-        )
-        with pytest.raises(AdapterError, match="cap"):
-            h.predict_batch(m)
-
     @pytest.mark.parametrize(
         "field, value",
         [("timeout", 0.0), ("timeout", float("nan")), ("timeout", float("inf")),
-         ("timeout", 1e300), ("max_batch_rows", 0), ("max_batch_rows", -5)],
+         ("timeout", 1e300)],
     )  # fmt: skip
     def test_spec_refuses_a_budget_that_cannot_work(self, field, value):
         with pytest.raises(ValueError, match=field):

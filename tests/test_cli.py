@@ -96,7 +96,7 @@ class TestParsers:
         with pytest.raises(ValueError):
             parse_replacement("median")
 
-    @pytest.mark.parametrize("spec", ["const:nan", "const:inf", "constant:-inf", "const:x"])
+    @pytest.mark.parametrize("spec", ["const:nan", "const:inf", "const:-inf", "const:x"])
     def test_replacement_constant_must_be_finite(self, spec):
         with pytest.raises(ValueError, match="must be a finite number"):
             parse_replacement(spec)
@@ -397,6 +397,25 @@ class TestAudit:
         assert code == 1
         assert "nope" in capsys.readouterr().err
 
+    def test_schema_column_missing_from_the_file_exit_1(self, tmp_path, capsys):
+        data = synth(tmp_path)
+        schema = tmp_path / "schema.txt"
+        schema.write_text("x9=ignore\n")
+        out = tmp_path / "out"
+        code = main(
+            [
+                "audit",
+                "--data", str(data),
+                "--schema", str(schema),
+                "--model", LINEAR_MODEL,
+                "--target", "column:target",
+                "--out", str(out),
+            ]
+        )  # fmt: skip
+        assert code == 1
+        assert "['x9']" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_surrogate_mode_reports_fidelity(self, tmp_path):
         data = synth(tmp_path, "n=400\ncoefficients=3,1\nnoise_sd=0.05\nseed=3\n")
         out = tmp_path / "out"
@@ -559,7 +578,7 @@ class TestAudit:
     @pytest.mark.parametrize(
         "flag, value",
         [("--timeout", "0"), ("--timeout", "nan"), ("--timeout", "inf"),
-         ("--timeout", "1e300"), ("--max-batch-rows", "0"), ("--max-batch-rows", "-5"),
+         ("--timeout", "1e300"),
          ("--ridge-lambda", "-1"), ("--ridge-lambda", "nan")],
     )  # fmt: skip
     def test_numeric_flag_that_cannot_work_exit_2(self, tmp_path, flag, value):
@@ -701,6 +720,22 @@ class TestValidate:
         assert code == 0
         out = capsys.readouterr().out
         assert "spearman=" in out
+
+    def test_one_scored_feature_has_no_rank_correlation(self, tmp_path, capsys):
+        data = synth(tmp_path, "n=200\ncoefficients=2\nnoise_sd=0.0\nseed=3\n")
+        capsys.readouterr()
+        code = main(
+            [
+                "validate",
+                "--data", str(data),
+                "--model", fixture_command("sum_model.py"),
+                "--target", "column:target",
+            ]
+        )  # fmt: skip
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].split()[0] == "x1"
+        assert lines[-1] == "spearman=n/a (fewer than two scored features)"
 
     def test_correlated_design_divergence_documented(self, tmp_path, capsys):
         # Strong collinearity: the projection audit charges x2 for variance

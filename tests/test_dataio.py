@@ -88,6 +88,16 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="duplicate"):
             load_csv(p)
 
+    def test_schema_column_missing_from_the_file(self, tmp_path):
+        # The bad cell would fail any row parse: the check comes first.
+        p = tmp_path / "d.csv"
+        p.write_text("x1,x2,target\n1,2,3\nfoo,5,6\n")
+        schema = DatasetSchema(
+            {"x9": ColumnSpec(role="ignore"), "gendr": ColumnSpec(role="ignore")}
+        )
+        with pytest.raises(DataError, match=r"d\.csv has no columns named \['gendr', 'x9'\]"):
+            load_csv(p, schema)
+
     def test_ignored_column_dropped(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,junk\n1,zzz\n2,qqq\n")

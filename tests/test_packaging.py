@@ -87,19 +87,44 @@ def test_every_bench_hook_name_resolves():
     assert missing == []
 
 
-def test_every_cli_option_is_documented_in_readme():
+def subcommand_parsers():
     from oproj.cli import build_parser
 
-    readme = (ROOT / "README.md").read_text()
     (subcommands,) = [
         a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     ]
+    return subcommands.choices
+
+
+def test_every_cli_option_is_documented_in_readme():
+    readme = (ROOT / "README.md").read_text()
+    parsers = subcommand_parsers()
     missing = sorted(
         option
         for name in ("audit", "validate", "synth")
-        for action in subcommands.choices[name]._actions
+        for action in parsers[name]._actions
         if not isinstance(action, argparse._HelpAction)
         for option in action.option_strings
         if not re.search(rf"{re.escape(option)}(?![\w-])", readme)
     )
     assert missing == []
+
+
+def test_every_readme_table_flag_exists_in_the_parser():
+    """The command-reference table lists the flags audit and validate
+    share; a flag the parser dropped must leave it too."""
+    rows = [
+        line
+        for line in (ROOT / "README.md").read_text().splitlines()
+        if line.startswith("| `--")
+    ]
+    assert rows
+    parsers = subcommand_parsers()
+    unknown = sorted(
+        f"{name} {flag}"
+        for line in rows
+        for flag in re.findall(r"--[a-z][\w-]*", line)
+        for name in ("audit", "validate")
+        if flag not in parsers[name]._option_string_actions
+    )
+    assert unknown == []

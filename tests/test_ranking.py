@@ -21,7 +21,7 @@ from oproj.errors import (
 from oproj.linalg import FeatureMatrix
 from oproj.ranking import (
     AuditConfig,
-    AuditOutcome,
+    FeatureResult,
     PerformanceMetric,
     _normalize_entries,
     audit_feature,
@@ -122,7 +122,7 @@ class TestAuditFeature:
         y = h.predict_batch(m)
         cfg = AuditConfig(transforms=TransformSet.none())
         out = audit_feature(h, m, y, "x2", cfg, baseline=0.0)
-        assert isinstance(out, AuditOutcome)
+        assert isinstance(out, FeatureResult)
         assert out.raw_delta == pytest.approx(4.0, rel=1e-9)
 
     def test_orthonormal_design_refit_oracle(self):
@@ -221,30 +221,30 @@ class TestAuditFeature:
 class TestNormalization:
     def test_paper_scaling_contract(self):
         outcomes = [
-            AuditOutcome("a", 0.5, 0.5, 0),
-            AuditOutcome("b", 0.25, 0.25, 0),
-            AuditOutcome("c", 0.0, 0.0, 0),
+            FeatureResult("a", 0.5, None, 0),
+            FeatureResult("b", 0.25, None, 0),
+            FeatureResult("c", 0.0, None, 0),
         ]
         entries = _normalize_entries(outcomes, {})
         assert [e.normalized for e in entries] == [100.0, 50.0, 0.0]
         assert [e.name for e in entries] == ["a", "b", "c"]
 
     def test_all_zero_degenerate(self):
-        outcomes = [AuditOutcome("a", 0.0, 0.0, 0), AuditOutcome("b", 0.0, 0.0, 0)]
+        outcomes = [FeatureResult("a", 0.0, None, 0), FeatureResult("b", 0.0, None, 0)]
         entries = _normalize_entries(outcomes, {})
         assert [e.normalized for e in entries] == [0.0, 0.0]
 
     def test_ties_break_by_name(self):
         outcomes = [
-            AuditOutcome("zeta", 1.0, 1.0, 0),
-            AuditOutcome("alpha", 1.0, 1.0, 0),
+            FeatureResult("zeta", 1.0, None, 0),
+            FeatureResult("alpha", 1.0, None, 0),
         ]
         entries = _normalize_entries(outcomes, {})
         assert [e.name for e in entries] == ["alpha", "zeta"]
         assert [e.normalized for e in entries] == [100.0, 100.0]
 
     def test_errored_entries_sorted_last(self):
-        outcomes = [AuditOutcome("a", 1.0, 1.0, 0)]
+        outcomes = [FeatureResult("a", 1.0, None, 0)]
         entries = _normalize_entries(outcomes, {"b": "boom", "aa": "boom2"})
         assert [e.name for e in entries] == ["a", "aa", "b"]
         assert entries[1].error == "boom2"
@@ -259,7 +259,7 @@ class TestNormalization:
         )
     )
     def test_normalization_bounds_hypothesis(self, deltas):
-        outcomes = [AuditOutcome(f"f{i:03d}", d, d, 0) for i, d in enumerate(deltas)]
+        outcomes = [FeatureResult(f"f{i:03d}", d, None, 0) for i, d in enumerate(deltas)]
         entries = _normalize_entries(outcomes, {})
         values = [e.normalized for e in entries]
         assert all(0.0 <= v <= 100.0 for v in values)
@@ -539,7 +539,7 @@ class TestRankAll:
         report = rank_all(h, m, cfg)
         assert report.baseline == 1.0
         assert report.entries[0].name == "x1"
-        assert report.metric_kind == "accuracy"
+        assert report.config.metric.kind == "accuracy"
 
     def test_repeatability_warning_propagates(self, rng):
         data = rng.standard_normal((30, 2))
@@ -667,6 +667,29 @@ class TestLookahead:
         pids = [int(p) for p in pidfile.read_text().split()]
         assert len(pids) == 3
         assert all(process_gone(pid) for pid in pids)
+
+    def test_error_escaping_collect_still_aborts_its_query(self, monkeypatch, rng):
+        # A handle whose collect does not clean up after itself: rank_all
+        # aborts the query whose reply it was collecting.
+        class Leaky(InProcessModel):
+            def __init__(self):
+                super().__init__(lambda a: a[:, 0])
+                self.collects, self.aborted = 0, []
+
+            def collect(self, running):
+                self.collects += 1
+                if self.collects == 2:  # x1's reply; the first is the capture
+                    raise RuntimeError("collect failed")
+                return super().collect(running)
+
+            def abort(self, running):
+                self.aborted.append(running)
+
+        h = Leaky()
+        monkeypatch.setattr(ranking, "_model_width", lambda: 1)
+        with pytest.raises(RuntimeError, match="collect failed"):
+            rank_all(h, matrix(rng.standard_normal((20, 3))), AuditConfig())
+        assert len(h.aborted) == 1
 
     def test_timeout_flags_only_its_feature_beside_a_running_model(
         self, monkeypatch, rng

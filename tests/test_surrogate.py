@@ -135,14 +135,14 @@ class TestFitLogistic:
         model = fit_logistic(matrix(X), np.zeros(100))
         assert model.intercept < -4.0
         assert np.max(np.abs(model.coefficients)) < 0.2
-        assert np.all(model.predict_proba(X) < 0.01)
+        assert np.all(model.predict(X) < 0.01)
 
     def test_separable_direction(self):
         x = np.concatenate([np.linspace(-3, -1, 25), np.linspace(1, 3, 25)])
         y = (x > 0).astype(float)
         model = fit_logistic(matrix(x[:, None]), y)
         assert model.coefficients[0] > 0
-        acc = np.mean((model.predict_proba(x[:, None]) >= 0.5) == y)
+        acc = np.mean((model.predict(x[:, None]) >= 0.5) == y)
         assert acc == 1.0
         # Optimum at infinity, but the gradient falls below the tolerance
         # on the way there.
@@ -185,9 +185,9 @@ class TestFitLogistic:
         model = fit_logistic(matrix(wider), y)
         reference = fit_logistic(matrix(X), y)
         assert model.converged
-        accuracy = np.mean((model.predict_proba(wider) >= 0.5) == y)
+        accuracy = np.mean((model.predict(wider) >= 0.5) == y)
         assert accuracy == pytest.approx(
-            np.mean((reference.predict_proba(X) >= 0.5) == y), abs=0.01
+            np.mean((reference.predict(X) >= 0.5) == y), abs=0.01
         )
 
     @pytest.mark.parametrize(
@@ -209,7 +209,7 @@ class TestFitLogistic:
     def test_predict_proba_saturates_without_warning(self, rng):
         model = fit_logistic(matrix(rng.standard_normal((50, 1))), np.ones(50))
         z = np.array([[-800.0], [800.0]])
-        proba = replace(model, coefficients=np.ones(1), intercept=0.0).predict_proba(z)
+        proba = replace(model, coefficients=np.ones(1), intercept=0.0).predict(z)
         np.testing.assert_array_equal(proba, [0.0, 1.0])
 
     @pytest.mark.filterwarnings("error")
