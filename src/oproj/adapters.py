@@ -3,7 +3,7 @@
 Subprocess wire protocol: the model's stdin is a regular file holding CSV
 (header row of feature names, then one data row per sample, shortest
 round-trip decimal formatting), and the auditor expects exactly n lines on
-stdout, each a single decimal prediction. Exit status must be 0. One
+stdout, each a single ASCII decimal prediction. Exit status must be 0. One
 process invocation per batch; no session state is kept between calls.
 """
 
@@ -17,16 +17,13 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
-from typing import BinaryIO, Callable, Sequence, TextIO
+from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
-import orjson
 
+from .dataio import format_matrix_csv
 from .errors import (
     AdapterError,
-    DataError,
     MalformedOutputError,
     ModelExitError,
     ModelTimeoutError,
@@ -42,38 +39,33 @@ REPEATABILITY_TOL = 1e-12
 class ModelHandle(ABC):
     """A queryable black box: n rows in, n finite predictions out.
 
-    A query runs in three steps, so that a caller can encode its next query
-    while the model answers this one: ``prepare`` checks the column names
-    and encodes the query, ``launch`` starts the model on it, and
-    ``collect`` waits for the reply and validates it. ``abort`` stops a
-    launched query whose reply is no longer wanted. Several launched
-    queries may be in flight at once, each collected or aborted once;
-    ``rank_all`` keeps up to two.
+    A query runs in two steps, so that a caller can build its next query
+    while the model answers this one: ``launch`` checks the column names,
+    encodes the query and starts the model on it, and ``collect`` waits
+    for the reply and validates it. ``abort`` stops a launched query whose
+    reply is no longer wanted. Several launched queries may be in flight
+    at once, each collected or aborted once; ``rank_all`` keeps up to two.
     """
 
     feature_names: tuple[str, ...] | None = None
 
     def predict_batch(self, X: FeatureMatrix) -> np.ndarray:
         """Query the model once and validate the reply."""
-        return self.collect(self.launch(self.prepare(X)))
+        return self.collect(self.launch(X))
 
-    def prepare(self, X: FeatureMatrix):
-        """Check the column names and encode the query for ``launch``."""
+    def launch(self, X: FeatureMatrix):
+        """Check the column names and start the model on ``X``; returns
+        what ``collect`` and ``abort`` take."""
         if self.feature_names is not None and X.names != self.feature_names:
             raise AdapterError(
                 f"model expects columns {list(self.feature_names)}, "
                 f"got {list(X.names)}"
             )
-        return self._encode(X)
-
-    def _encode(self, X: FeatureMatrix):
-        """The query in the form ``launch`` takes; by default the matrix."""
-        return X
+        return self._start(X)
 
     @abstractmethod
-    def launch(self, encoded):
-        """Start the model on a prepared query; returns what ``collect``
-        and ``abort`` take."""
+    def _start(self, X: FeatureMatrix):
+        """Encode ``X`` and start the model on it."""
 
     @abstractmethod
     def collect(self, running) -> np.ndarray:
@@ -116,8 +108,8 @@ class InProcessModel(ModelHandle):
     def _predict(self, X: FeatureMatrix) -> np.ndarray:
         return self.fn(X.as_array())
 
-    def launch(self, encoded: FeatureMatrix) -> tuple[np.ndarray, int]:
-        return self._predict(encoded), encoded.n
+    def _start(self, X: FeatureMatrix) -> tuple[np.ndarray, int]:
+        return self._predict(X), X.n
 
     def collect(self, running: tuple[np.ndarray, int]) -> np.ndarray:
         return _validated(*running)
@@ -142,70 +134,12 @@ class SubprocessSpec:
         object.__setattr__(self, "command", tuple(self.command))
 
 
-# Rows encoded per write: enough to amortize the per-call overhead, few
-# enough that a block's text stays small next to the matrix.
-_CSV_BLOCK_ROWS = 1024
-
-# Characters a header cell cannot hold, since the format has no quoting.
-_UNQUOTABLE = (",", '"', "\r", "\n")
-
-
-def check_header_names(names: Sequence[str]) -> None:
-    """Raise ``DataError`` naming every name that holds a comma, a double
-    quote, CR or LF, which the unquoted CSV header cannot carry."""
-    bad = [n for n in names if any(c in n for c in _UNQUOTABLE)]
-    if bad:
-        raise DataError(
-            f"column names {bad} hold a comma, double quote, CR or LF, which "
-            "the unquoted CSV header cannot carry"
-        )
-
-
-def format_matrix_csv(names: Sequence[str], data: np.ndarray, out: TextIO) -> None:
-    """Write a header row and one CSV line per row of ``data`` to ``out``.
-
-    Every value is written as ``repr`` writes it, the shortest decimal that
-    parses back to the identical float64. This is both the wire payload and
-    the ``save_csv`` file format.
-
-    orjson writes each block of rows with the same shortest digits, about
-    ten times faster than ``repr``, but spells three kinds of value its own
-    way: 1e-9 <= |x| < 1e-4 (``0.00001`` for ``1e-05``, ``1e-6`` for
-    ``1e-06``), |x| >= 1e16 (``1e16`` for ``1e+16``) and nan or inf
-    (``null``). Below 1e-9 both write the same exponent form. Only those
-    cells are rewritten with ``repr``, so the text is ``repr``'s byte for
-    byte and the extra cost grows with the number of such cells. The rule
-    was checked with orjson 3.8.3; ``test_adapters`` checks it against
-    ``repr``, and must pass before orjson is upgraded.
-
-    Cells are not quoted, so a name holding a comma, a double quote, CR or
-    LF raises ``DataError`` before anything is written.
-    """
-    check_header_names(names)
-    out.write(",".join(names) + "\n")
-    for start in range(0, data.shape[0], _CSV_BLOCK_ROWS):
-        block = np.ascontiguousarray(
-            data[start : start + _CSV_BLOCK_ROWS], dtype=np.float64
-        )
-        text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
-        lines = text[2:-2].decode("ascii").split("],[")
-        mag = np.abs(block)
-        # ~(mag < 1e16) also holds for nan and inf. np.nonzero lists the
-        # cells row by row, so groupby yields each row once.
-        rows, cols = np.nonzero(((mag >= 1e-9) & (mag < 1e-4)) | ~(mag < 1e16))
-        respelled = zip(rows.tolist(), cols.tolist(), block[rows, cols].tolist())
-        for i, row_cells in groupby(respelled, key=itemgetter(0)):
-            cells = lines[i].split(",")
-            for _, j, value in row_cells:
-                cells[j] = repr(value)
-            lines[i] = ",".join(cells)
-        out.write("\n".join(lines) + "\n")
-
-
-def parse_prediction_lines(text: str, expected_rows: int) -> np.ndarray:
+def parse_prediction_lines(reply: bytes, expected_rows: int) -> np.ndarray:
     """Parse stdout from a model process: one decimal per line, exactly
-    ``expected_rows`` of them (trailing blank lines tolerated)."""
-    lines = text.splitlines()
+    ``expected_rows`` of them (trailing blank lines tolerated). A line that
+    is not an ASCII decimal, such as one holding a byte that is not UTF-8,
+    is unparseable."""
+    lines = reply.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
     if len(lines) != expected_rows:
@@ -221,14 +155,6 @@ def parse_prediction_lines(text: str, expected_rows: int) -> np.ndarray:
                 f"unparseable prediction at row {i}: {line.strip()!r}", row=i
             ) from None
     return out
-
-
-@dataclass(frozen=True)
-class _Payload:
-    """An encoded query: its CSV text in an unnamed file, at offset 0."""
-
-    file: TextIO
-    rows: int
 
 
 @dataclass(frozen=True)
@@ -263,24 +189,16 @@ class SubprocessModel(ModelHandle):
         self.spec = spec
         self.feature_names = tuple(feature_names) if feature_names is not None else None
 
-    def _encode(self, X: FeatureMatrix) -> _Payload:
-        file = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
-        try:
-            format_matrix_csv(X.names, X.data, file)
-            file.seek(0)
-        except BaseException:
-            file.close()
-            raise
-        return _Payload(file, X.n)
-
-    def launch(self, encoded: _Payload) -> _Running:
+    def _start(self, X: FeatureMatrix) -> _Running:
         cmd = list(self.spec.command)
-        with encoded.file:
+        with tempfile.TemporaryFile() as payload:
+            format_matrix_csv(X.names, X.data, payload)
+            payload.seek(0)
             stdout, stderr = tempfile.TemporaryFile(), tempfile.TemporaryFile()
             try:
                 proc = subprocess.Popen(
                     cmd,
-                    stdin=encoded.file,
+                    stdin=payload,
                     stdout=stdout,
                     stderr=stderr,
                     start_new_session=True,
@@ -289,9 +207,7 @@ class SubprocessModel(ModelHandle):
                 stdout.close()
                 stderr.close()
                 raise AdapterError(f"cannot run model command {cmd}: {exc}") from exc
-        return _Running(
-            proc, stdout, stderr, time.monotonic() + self.spec.timeout, encoded.rows
-        )
+        return _Running(proc, stdout, stderr, time.monotonic() + self.spec.timeout, X.n)
 
     def collect(self, running: _Running) -> np.ndarray:
         cmd = list(self.spec.command)
@@ -323,15 +239,7 @@ class SubprocessModel(ModelHandle):
                 )
             running.stdout.seek(0)
             reply = running.stdout.read()
-        try:
-            text = reply.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            row = reply.count(b"\n", 0, exc.start)
-            raise MalformedOutputError(
-                f"prediction at row {row} is not UTF-8: {reply[exc.start : exc.end]!r}",
-                row=row,
-            ) from None
-        pred = parse_prediction_lines(text, running.rows)
+        pred = parse_prediction_lines(reply, running.rows)
         return _validated(pred, running.rows)
 
     def abort(self, running: _Running) -> None:

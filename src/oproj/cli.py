@@ -343,13 +343,7 @@ def main(argv: list[str] | None = None) -> int:
     except SyntheticSpecError as exc:
         print(f"oproj: invalid synthetic spec: {exc}", file=sys.stderr)
         return 2
-    except (OprojError, ValueError) as exc:
-        print(f"oproj: error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        if args.command == "synth":
-            print(f"oproj: invalid synthetic spec: {exc}", file=sys.stderr)
-            return 2
+    except (OprojError, ValueError, OSError) as exc:
         print(f"oproj: error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,17 +1,20 @@
-"""Dataset ingestion, standardization, and synthetic benchmark generation."""
+"""Dataset ingestion, the CSV format oproj writes (data files and the model
+wire's payload), standardization, and synthetic benchmark generation."""
 
 from __future__ import annotations
 
 import csv
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
+from typing import BinaryIO, Sequence
 
 import numpy as np
 import orjson
 
-from .adapters import check_header_names, format_matrix_csv
-from .errors import DataError, SyntheticSpecError
+from .errors import DataError, OprojError, SyntheticSpecError
 from .linalg import FeatureMatrix
 
 VALID_ROLES = ("feature", "target", "ignore")
@@ -56,11 +59,28 @@ class DatasetSchema:
         return DatasetSchema(cols)
 
 
+def _read_text(path: str | Path, error: type[OprojError]) -> str:
+    """The UTF-8 text of ``path`` without its byte-order mark, or ``error``
+    naming the file when it cannot be read, and the line of its first byte
+    that is not UTF-8."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc}") from None
+    try:
+        return raw.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise error(
+            f"{path} line {line} is not UTF-8: {raw[exc.start : exc.end]!r}"
+        ) from None
+
+
 def parse_schema_file(path: str | Path) -> DatasetSchema:
     """Sidecar format: one ``column=role`` or ``column=role:kind`` per line.
     Blank lines and '#' comments are skipped."""
     cols: dict[str, ColumnSpec] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
+    for lineno, raw in enumerate(_read_text(path, DataError).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -199,29 +219,33 @@ def load_csv(
     """
     schema = schema or DatasetSchema()
     path = Path(path)
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path} is empty; a header row is required") from None
-        header = [h.strip() for h in header]
-        if len(set(header)) != len(header):
-            dupes = sorted({h for h in header if header.count(h) > 1})
-            raise DataError(f"duplicate header names: {dupes}")
-        missing = sorted(set(schema.columns) - set(header))
-        if missing:
-            raise DataError(f"{path} has no columns named {missing}")
-        specs = [schema.spec_for(h) for h in header]
-        bulk = _parse_number_blocks(path, reader.line_num, len(header))
-        if bulk is not None and not np.isfinite(bulk).all():
-            bulk = None
-        # Categorical cells, and every cell when the blocks decline, go
-        # through the csv module.
-        text_needed = bulk is None or any(
-            s.role == "feature" and s.kind == "categorical" for s in specs
-        )
-        rows = list(reader) if text_needed else None
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path} is empty; a header row is required") from None
+            header = [h.strip() for h in header]
+            if len(set(header)) != len(header):
+                dupes = sorted({h for h in header if header.count(h) > 1})
+                raise DataError(f"duplicate header names: {dupes}")
+            missing = sorted(set(schema.columns) - set(header))
+            if missing:
+                raise DataError(f"{path} has no columns named {missing}")
+            specs = [schema.spec_for(h) for h in header]
+            bulk = _parse_number_blocks(path, reader.line_num, len(header))
+            if bulk is not None and not np.isfinite(bulk).all():
+                bulk = None
+            # Categorical cells, and every cell when the blocks decline, go
+            # through the csv module.
+            text_needed = bulk is None or any(
+                s.role == "feature" and s.kind == "categorical" for s in specs
+            )
+            rows = list(reader) if text_needed else None
+    except UnicodeDecodeError:
+        _read_text(path, DataError)  # raises, naming the line
+        raise
     if rows is not None and not rows:
         raise DataError(f"{path} has a header but no data rows")
 
@@ -275,6 +299,67 @@ def load_csv(
     return FeatureMatrix._adopt(names, np.array(columns).T), target
 
 
+# Rows encoded per write: enough to amortize the per-call overhead, few
+# enough that a block's bytes stay small next to the matrix.
+_CSV_BLOCK_ROWS = 1024
+
+# Characters a header cell cannot hold, since the format has no quoting.
+_UNQUOTABLE = (",", '"', "\r", "\n")
+
+
+def check_header_names(names: Sequence[str]) -> None:
+    """Raise ``DataError`` naming every name that holds a comma, a double
+    quote, CR or LF, which the unquoted CSV header cannot carry."""
+    bad = [n for n in names if any(c in n for c in _UNQUOTABLE)]
+    if bad:
+        raise DataError(
+            f"column names {bad} hold a comma, double quote, CR or LF, which "
+            "the unquoted CSV header cannot carry"
+        )
+
+
+def format_matrix_csv(names: Sequence[str], data: np.ndarray, out: BinaryIO) -> None:
+    """Write a header row and one CSV line per row of ``data`` to ``out``,
+    as UTF-8 bytes.
+
+    Every value is written as ``repr`` writes it, the shortest decimal that
+    parses back to the identical float64. This is both the model wire's
+    payload and the ``save_csv`` file format.
+
+    orjson writes each block of rows with the same shortest digits, about
+    ten times faster than ``repr``, but spells three kinds of value its own
+    way: 1e-9 <= |x| < 1e-4 (``0.00001`` for ``1e-05``, ``1e-6`` for
+    ``1e-06``), |x| >= 1e16 (``1e16`` for ``1e+16``) and nan or inf
+    (``null``). Below 1e-9 both write the same exponent form. Only those
+    cells are rewritten with ``repr``, so the bytes are ``repr``'s byte for
+    byte and the extra cost grows with the number of such cells. The rule
+    was checked with orjson 3.8.3; ``test_adapters`` checks it against
+    ``repr``, and must pass before orjson is upgraded.
+
+    Cells are not quoted, so a name holding a comma, a double quote, CR or
+    LF raises ``DataError`` before anything is written.
+    """
+    check_header_names(names)
+    out.write((",".join(names) + "\n").encode("utf-8"))
+    for start in range(0, data.shape[0], _CSV_BLOCK_ROWS):
+        block = np.ascontiguousarray(
+            data[start : start + _CSV_BLOCK_ROWS], dtype=np.float64
+        )
+        text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
+        lines = text[2:-2].split(b"],[")
+        mag = np.abs(block)
+        # ~(mag < 1e16) also holds for nan and inf. np.nonzero lists the
+        # cells row by row, so groupby yields each row once.
+        rows, cols = np.nonzero(((mag >= 1e-9) & (mag < 1e-4)) | ~(mag < 1e16))
+        respelled = zip(rows.tolist(), cols.tolist(), block[rows, cols].tolist())
+        for i, row_cells in groupby(respelled, key=itemgetter(0)):
+            cells = lines[i].split(b",")
+            for _, j, value in row_cells:
+                cells[j] = repr(value).encode("ascii")
+            lines[i] = b",".join(cells)
+        out.write(b"\n".join(lines) + b"\n")
+
+
 def save_csv(
     X: FeatureMatrix,
     path: str | Path,
@@ -307,7 +392,7 @@ def save_csv(
         names.append(target_name)
         data = np.column_stack([data, target])
     check_header_names(names)  # before the file is created or truncated
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    with path.open("wb") as fh:
         format_matrix_csv(names, data, fh)
 
 
@@ -485,7 +570,7 @@ def parse_synthetic_spec(path: str | Path) -> SyntheticSpec:
     ``nonlinear=name,kind,coef`` lines.
     """
     pairs: list[tuple[str, str, int]] = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
+    for lineno, raw in enumerate(_read_text(path, SyntheticSpecError).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -316,9 +316,9 @@ def rank_all(
     prepared = _prepare(X, cfg)
 
     # Lookahead: up to _model_width() launched queries are in flight.
-    # Feature j+1's query is built and encoded while their models answer;
-    # when the flight is full its oldest query is collected and scored
-    # before j+1's is launched, so replies are scored in launch order. An
+    # Feature j+1's query is built while their models answer; when the
+    # flight is full its oldest query is collected and scored before j+1's
+    # is encoded and launched, so replies are scored in launch order. An
     # in-process model answers inside launch, so its flight holds finished
     # predictions.
     width = _model_width()
@@ -343,10 +343,9 @@ def rank_all(
         # A function, so that its query is freed on return and one n x k
         # query is alive at a time.
         query, dropped = _build_query(prepared, name, cfg)
-        encoded = model.prepare(query)
         if len(flight) == width:
             settle_oldest()
-        flight.append((name, dropped, model.launch(encoded)))
+        flight.append((name, dropped, model.launch(query)))
 
     try:
         for name in X.names:

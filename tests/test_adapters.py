@@ -140,9 +140,9 @@ class TestWireFormat:
     def test_round_trip_is_exact(self, rng):
         scales = 10.0 ** rng.integers(-8, 8, (25, 4)).astype(float)
         m = matrix(rng.standard_normal((25, 4)) * scales)
-        buf = io.StringIO()
+        buf = io.BytesIO()
         format_matrix_csv(m.names, m.data, buf)
-        text = buf.getvalue()
+        text = buf.getvalue().decode()
         lines = text.splitlines()
         assert lines[0] == ",".join(m.names)
         parsed = np.array(
@@ -153,12 +153,12 @@ class TestWireFormat:
     def test_matches_per_value_repr_across_blocks(self, rng):
         # More rows than one encoded block, in column-major storage.
         m = matrix(rng.standard_normal((2100, 3)) * 1e3)
-        buf = io.StringIO()
+        buf = io.BytesIO()
         format_matrix_csv(m.names, m.data, buf)
         reference = "".join(
             ",".join(repr(float(v)) for v in row) + "\n" for row in m.as_array()
         )
-        assert buf.getvalue() == "x1,x2,x3\n" + reference
+        assert buf.getvalue().decode() == "x1,x2,x3\n" + reference
 
     def test_matches_repr_where_orjson_spells_its_own_way(self):
         # Each band orjson spells differently, the values just outside it,
@@ -168,21 +168,21 @@ class TestWireFormat:
                  1e16, 1.7e18, 1e300, 5e-324, 0.0, float("nan"), float("inf")]  # fmt: skip
         values = np.array(edges + [-v for v in edges])
         data = np.column_stack([values, np.roll(values, 3), np.full(values.size, 2.5)])
-        buf = io.StringIO()
+        buf = io.BytesIO()
         format_matrix_csv(["a", "b", "c"], data, buf)
         reference = "".join(",".join(map(repr, row)) + "\n" for row in data.tolist())
-        assert buf.getvalue() == "a,b,c\n" + reference
+        assert buf.getvalue().decode() == "a,b,c\n" + reference
 
     @settings(max_examples=150, deadline=None)
     @given(data=wire_matrices())
     def test_matches_per_value_repr_hypothesis(self, data):
-        buf = io.StringIO()
+        buf = io.BytesIO()
         names = [f"x{j + 1}" for j in range(data.shape[1])]
         format_matrix_csv(names, data, buf)
         reference = "".join(
             ",".join(repr(float(v)) for v in row) + "\n" for row in data
         )
-        text = buf.getvalue()
+        text = buf.getvalue().decode()
         # Line by line, so that a failure's message stays cheap to build.
         lines = text.split("\n")
         expected = (",".join(names) + "\n" + reference).split("\n")
@@ -201,17 +201,20 @@ class TestWireFormat:
     @given(case=prediction_replies())
     def test_parse_matches_per_line_float_hypothesis(self, case):
         text, lines, expected_rows, garbage_row = case
-        if expected_rows != len(lines):
-            with pytest.raises(RowCountMismatchError):
-                parse_prediction_lines(text, expected_rows)
-        elif garbage_row is not None:
-            with pytest.raises(MalformedOutputError) as info:
-                parse_prediction_lines(text, expected_rows)
-            assert info.value.row == garbage_row
-        else:
-            out = parse_prediction_lines(text, expected_rows)
-            reference = np.array([float(line) for line in lines], dtype=np.float64)
-            assert out.tobytes() == reference.tobytes()
+        # The garbage lines hold no line break, so the reply's bytes split
+        # into the same rows as its text.
+        for reply in (text, text.encode("utf-8")):
+            if expected_rows != len(lines):
+                with pytest.raises(RowCountMismatchError):
+                    parse_prediction_lines(reply, expected_rows)
+            elif garbage_row is not None:
+                with pytest.raises(MalformedOutputError) as info:
+                    parse_prediction_lines(reply, expected_rows)
+                assert info.value.row == garbage_row
+            else:
+                out = parse_prediction_lines(reply, expected_rows)
+                reference = np.array([float(line) for line in lines], dtype=np.float64)
+                assert out.tobytes() == reference.tobytes()
 
     def test_parse_prediction_lines(self):
         out = parse_prediction_lines("1.5\n-2.25\n3e-4\n", 3)
@@ -228,6 +231,14 @@ class TestWireFormat:
     def test_parse_malformed_names_row(self):
         with pytest.raises(MalformedOutputError) as info:
             parse_prediction_lines("1\nxyz\n3\n", 3)
+        assert info.value.row == 1
+
+    @pytest.mark.parametrize("line", [b"\xff", "\u0661".encode(), "\xa01".encode()])
+    def test_parse_refuses_a_line_that_is_not_an_ascii_decimal(self, line):
+        # A byte that is not UTF-8, an Arabic-Indic digit one, and a 1
+        # padded with a no-break space.
+        with pytest.raises(MalformedOutputError, match="row 1") as info:
+            parse_prediction_lines(b"1\n" + line + b"\n3\n", 3)
         assert info.value.row == 1
 
 

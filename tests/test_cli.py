@@ -144,6 +144,37 @@ class TestSynth:
         assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command, flag, path, code",
+    [
+        ("audit", "--data", "directory", 1),
+        ("audit", "--schema", "directory", 1),
+        ("audit", "--out", "file", 1),
+        ("synth", "--out", "directory", 1),
+        ("synth", "--spec", "directory", 2),
+    ],
+)
+def test_unusable_path_ends_as_an_oproj_message(
+    tmp_path, capsys, command, flag, path, code
+):
+    data = synth(tmp_path)
+    args = {
+        "audit": {
+            "--data": data,
+            "--surrogate": "ridge",
+            "--target": "column:target",
+            "--out": tmp_path / "out",
+        },
+        "synth": {"--spec": write_spec(tmp_path, "n=10\ncoefficients=1\n"), "--out": data},
+    }[command]
+    args[flag] = tmp_path if path == "directory" else data
+    capsys.readouterr()
+    assert main([command, *(str(a) for item in args.items() for a in item)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("oproj:")
+    assert "Traceback" not in err
+
+
 class TestAudit:
     def test_end_to_end_json(self, tmp_path):
         data = synth(tmp_path)

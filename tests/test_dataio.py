@@ -1,3 +1,4 @@
+import re
 import tempfile
 from pathlib import Path
 
@@ -115,6 +116,19 @@ class TestLoadCsv:
         p = tmp_path / "d.csv"
         p.write_text("a,b\n1,2\n3\n")
         with pytest.raises(DataError, match="row 2"):
+            load_csv(p)
+
+    def test_header_not_utf8_names_file_and_line(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"a,caf\xe9\n1,2\n")
+        with pytest.raises(DataError, match=re.escape(f"{p} line 1 is not UTF-8")):
+            load_csv(p)
+
+    def test_byte_past_the_first_8_kib_not_utf8_names_its_line(self, tmp_path):
+        # 24 KB of rows before the bad byte, which sits on file line 3002.
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"a,b\n" + b"1.5,2.5\n" * 3000 + b"1.5,\xe9\n")
+        with pytest.raises(DataError, match=re.escape(f"{p} line 3002 is not UTF-8")):
             load_csv(p)
 
 
@@ -551,6 +565,12 @@ class TestSchemaFile:
         with pytest.raises(DataError, match="line 1"):
             parse_schema_file(p)
 
+    def test_not_utf8_names_file_and_line(self, tmp_path):
+        p = tmp_path / "schema.txt"
+        p.write_bytes(b"a=feature\ncaf\xe9=ignore\n")
+        with pytest.raises(DataError, match=re.escape(f"{p} line 2 is not UTF-8")):
+            parse_schema_file(p)
+
     def test_bad_role(self, tmp_path):
         p = tmp_path / "schema.txt"
         p.write_text("a=wildcard\n")
@@ -589,6 +609,12 @@ class TestSyntheticSpecFile:
         p = tmp_path / "spec.txt"
         p.write_text("n=10\ncoefficients=1\n", encoding="utf-8-sig")
         assert parse_synthetic_spec(p).n == 10
+
+    def test_not_utf8_names_file_and_line(self, tmp_path):
+        p = tmp_path / "spec.txt"
+        p.write_bytes(b"n=10\ncoefficients=1\nnames=caf\xe9\n")
+        with pytest.raises(SyntheticSpecError, match=re.escape(f"{p} line 3 is not UTF-8")):
+            parse_synthetic_spec(p)
 
     def test_missing_required(self, tmp_path):
         p = tmp_path / "spec.txt"

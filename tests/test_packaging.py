@@ -87,6 +87,20 @@ def test_every_bench_hook_name_resolves():
     assert missing == []
 
 
+def test_dataio_does_not_import_adapters():
+    """The CSV format lives in dataio, which adapters imports; an import
+    back, relative or absolute, would split it across the two again."""
+    imported = set()
+    for node in ast.walk(ast.parse((SRC / "oproj" / "dataio.py").read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["oproj" if node.level else "", node.module]))
+            imported.add(module)
+            imported.update(f"{module}.{alias.name}" for alias in node.names)
+    assert not [m for m in imported if (m + ".").startswith("oproj.adapters.")]
+
+
 def subcommand_parsers():
     from oproj.cli import build_parser
 
