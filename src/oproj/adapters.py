@@ -152,7 +152,7 @@ def parse_prediction_lines(reply: bytes, expected_rows: int) -> np.ndarray:
             out[i] = float(line.strip())
         except ValueError:
             raise MalformedOutputError(
-                f"unparseable prediction at row {i}: {line.strip()!r}", row=i
+                f"unparseable prediction at row {i}: {line.strip()[:80]!r}", row=i
             ) from None
     return out
 

@@ -1,12 +1,12 @@
-"""Dataset ingestion, the CSV format oproj writes (data files and the model
-wire's payload), standardization, and synthetic benchmark generation."""
+"""Dataset CSV reading and writing, standardization, and synthetic data."""
 
 from __future__ import annotations
 
+import codecs
 import csv
 import math
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import chain, groupby
 from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Sequence
@@ -60,20 +60,34 @@ class DatasetSchema:
 
 
 def _read_text(path: str | Path, error: type[OprojError]) -> str:
-    """The UTF-8 text of ``path`` without its byte-order mark, or ``error``
-    naming the file when it cannot be read, and the line of its first byte
-    that is not UTF-8."""
+    """The UTF-8 text of ``path``, or ``error`` naming why it cannot be read."""
     try:
-        raw = Path(path).read_bytes()
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError:
+        _check_utf8(path, error)
+        raise
     except OSError as exc:
         raise error(f"cannot read {path}: {exc}") from None
-    try:
-        return raw.decode("utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise error(
-            f"{path} line {line} is not UTF-8: {raw[exc.start : exc.end]!r}"
-        ) from None
+
+
+_SCAN_BLOCK = 1 << 16  # bytes _check_utf8 reads at a time
+
+
+def _check_utf8(path: str | Path, error: type[OprojError]) -> None:
+    """Raise ``error`` naming ``path`` and the line of its first byte that is
+    not UTF-8, if any, reading in blocks so a large file is never held whole."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    line = 1
+    with open(path, "rb") as fh:
+        for block in chain(iter(lambda: fh.read(_SCAN_BLOCK), b""), [b""]):
+            try:
+                decoder.decode(block, final=not block)
+            except UnicodeDecodeError as exc:
+                # exc.object may start with a cut-short character: no LF.
+                line += exc.object.count(b"\n", 0, exc.start)
+                bad = exc.object[exc.start : exc.end]
+                raise error(f"{path} line {line} is not UTF-8: {bad!r}") from None
+            line += block.count(b"\n")
 
 
 def parse_schema_file(path: str | Path) -> DatasetSchema:
@@ -244,7 +258,7 @@ def load_csv(
             )
             rows = list(reader) if text_needed else None
     except UnicodeDecodeError:
-        _read_text(path, DataError)  # raises, naming the line
+        _check_utf8(path, DataError)
         raise
     if rows is not None and not rows:
         raise DataError(f"{path} has a header but no data rows")
@@ -319,8 +333,7 @@ def check_header_names(names: Sequence[str]) -> None:
 
 
 def format_matrix_csv(names: Sequence[str], data: np.ndarray, out: BinaryIO) -> None:
-    """Write a header row and one CSV line per row of ``data`` to ``out``,
-    as UTF-8 bytes.
+    """Write UTF-8 CSV to ``out``: a header, then one line per row of ``data``.
 
     Every value is written as ``repr`` writes it, the shortest decimal that
     parses back to the identical float64. This is both the model wire's

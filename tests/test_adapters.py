@@ -241,6 +241,12 @@ class TestWireFormat:
             parse_prediction_lines(b"1\n" + line + b"\n3\n", 3)
         assert info.value.row == 1
 
+    def test_parse_quotes_a_bounded_prefix_of_a_long_line(self):
+        # Binary output holds few LF bytes, so one "line" can be most of it.
+        with pytest.raises(MalformedOutputError) as info:
+            parse_prediction_lines(b"\x80" * 100_000 + b"\n", 1)
+        assert len(str(info.value)) < 500
+
 
 class TestSubprocessModel:
     def test_echo_sum_oracle(self):

@@ -131,6 +131,18 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=re.escape(f"{p} line 3002 is not UTF-8")):
             load_csv(p)
 
+    @pytest.mark.parametrize("block", [1, 2, 3, 5])
+    def test_character_cut_by_a_scan_block_is_not_the_bad_byte(
+        self, tmp_path, monkeypatch, block
+    ):
+        # Small scan blocks cut the two- and three-byte characters of lines
+        # 2 and 3; the bad byte is the lone 0xe9 on line 4.
+        monkeypatch.setattr(dataio, "_SCAN_BLOCK", block)
+        p = tmp_path / "d.csv"
+        p.write_bytes("a,b\n1,caf\u00e9\n2,\u20ac\n3,".encode() + b"\xe9\n")
+        with pytest.raises(DataError, match=re.escape(f"{p} line 4 is not UTF-8: b'\\xe9'")):
+            load_csv(p)
+
 
 def _load_outcome(path, schema):
     """What load_csv does with a file: its arrays, bit for bit, or its error."""

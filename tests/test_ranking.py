@@ -610,8 +610,9 @@ class TestRankAll:
 
 
 class TestLookahead:
-    """rank_all encodes feature j+1's query while the models of the queries
-    in flight answer, with up to ``_model_width()`` of them in flight."""
+    """rank_all builds feature j+1's query while the models of the queries
+    in flight answer, with up to ``_model_width()`` of them in flight, then
+    encodes and launches it once the oldest has settled."""
 
     def test_failing_feature_flagged_and_rest_match_sequential(self, monkeypatch, rng):
         m = matrix(rng.standard_normal((50, 4)))
