@@ -1,13 +1,7 @@
 """oproj: rank a black-box model's dependence on each input feature by
 iterative orthogonal projection."""
 
-from .adapters import (
-    InProcessModel,
-    ModelHandle,
-    SubprocessModel,
-    SubprocessSpec,
-    capture_outputs,
-)
+from .adapters import InProcessModel, ModelHandle, SubprocessModel, SubprocessSpec
 from .dataio import (
     ColumnSpec,
     DatasetSchema,
@@ -52,7 +46,6 @@ from .ranking import (
     DependenceReport,
     FeatureResult,
     PerformanceMetric,
-    audit_feature,
     compute_metric,
     rank_all,
 )

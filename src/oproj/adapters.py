@@ -32,9 +32,6 @@ from .errors import (
 )
 from .linalg import FeatureMatrix
 
-# Repeat-query disagreement above this is flagged as nondeterminism.
-REPEATABILITY_TOL = 1e-12
-
 
 class ModelHandle(ABC):
     """A queryable black box: n rows in, n finite predictions out.
@@ -105,11 +102,8 @@ class InProcessModel(ModelHandle):
         self.fn = fn
         self.feature_names = tuple(feature_names) if feature_names is not None else None
 
-    def _predict(self, X: FeatureMatrix) -> np.ndarray:
-        return self.fn(X.as_array())
-
     def _start(self, X: FeatureMatrix) -> tuple[np.ndarray, int]:
-        return self._predict(X), X.n
+        return self.fn(X.as_array()), X.n
 
     def collect(self, running: tuple[np.ndarray, int]) -> np.ndarray:
         return _validated(*running)
@@ -253,25 +247,3 @@ class SubprocessModel(ModelHandle):
         proc.wait()
         running.stdout.close()
         running.stderr.close()
-
-
-def capture_outputs(
-    h: ModelHandle, X: FeatureMatrix, *, check_repeatability: bool = False
-) -> tuple[np.ndarray, str | None]:
-    """Query the model on the original matrix to define the audit target.
-
-    The returned vector is what the caller caches; the baseline is computed
-    from it without a second query. With ``check_repeatability`` the model
-    is queried twice (one extra batch call) and a warning string is returned
-    when the replies disagree beyond REPEATABILITY_TOL.
-    """
-    y = h.predict_batch(X)
-    warning = None
-    if check_repeatability:
-        y2 = h.predict_batch(X)
-        spread = float(np.max(np.abs(y - y2))) if y.size else 0.0
-        if spread > REPEATABILITY_TOL:
-            warning = (
-                f"model is not repeatable: repeat query differs by up to {spread:.3e}"
-            )
-    return y, warning

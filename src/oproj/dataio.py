@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from itertools import chain, groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 import orjson
@@ -90,19 +90,28 @@ def _check_utf8(path: str | Path, error: type[OprojError]) -> None:
             line += block.count(b"\n")
 
 
-def parse_schema_file(path: str | Path) -> DatasetSchema:
-    """Sidecar format: one ``column=role`` or ``column=role:kind`` per line.
-    Blank lines and '#' comments are skipped."""
-    cols: dict[str, ColumnSpec] = {}
-    for lineno, raw in enumerate(_read_text(path, DataError).splitlines(), 1):
+def _key_value_lines(
+    path: str | Path, error: type[OprojError], label: str
+) -> Iterator[tuple[int, str, str]]:
+    """(line number, key, value) of each ``key=value`` line of ``path``,
+    key and value stripped. Blank lines and '#' comments are skipped; any
+    other line without '=' raises ``error``, naming it as a ``label`` line."""
+    for lineno, raw in enumerate(_read_text(path, error).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise DataError(f"schema line {lineno} is not key=value: {line!r}")
-        name, _, value = line.partition("=")
-        name = name.strip()
-        role, _, kind = value.strip().partition(":")
+            raise error(f"{label} line {lineno} is not key=value: {line!r}")
+        key, _, value = line.partition("=")
+        yield lineno, key.strip(), value.strip()
+
+
+def parse_schema_file(path: str | Path) -> DatasetSchema:
+    """Sidecar format: one ``column=role`` or ``column=role:kind`` per line.
+    Blank lines and '#' comments are skipped."""
+    cols: dict[str, ColumnSpec] = {}
+    for lineno, name, value in _key_value_lines(path, DataError, "schema"):
+        role, _, kind = value.partition(":")
         spec = ColumnSpec(role=role.strip(), kind=kind.strip() or "numeric")
         if name in cols:
             raise DataError(f"schema line {lineno} repeats column '{name}'")
@@ -274,11 +283,11 @@ def load_csv(
     names: list[str] = []
     columns: list[np.ndarray] = []
     target: np.ndarray | None = None
-    target_name = schema.target_column()
+    schema.target_column()  # refuses a schema with two targets
     for j, (h, spec) in enumerate(zip(header, specs)):
         if spec.role == "ignore":
             continue
-        if spec.role == "target" or h == target_name:
+        if spec.role == "target":
             if bulk is not None:
                 target = bulk[:, j].copy()
             else:
@@ -582,46 +591,31 @@ def parse_synthetic_spec(path: str | Path) -> SyntheticSpec:
     noise_sd, seed, and repeatable ``corr=name1,name2,rho`` and
     ``nonlinear=name,kind,coef`` lines.
     """
-    pairs: list[tuple[str, str, int]] = []
-    for lineno, raw in enumerate(_read_text(path, SyntheticSpecError).splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise SyntheticSpecError(f"spec line {lineno} is not key=value: {line!r}")
-        key, _, value = line.partition("=")
-        pairs.append((key.strip().lower(), value.strip(), lineno))
-
     scalars: dict[str, str] = {}
     corr_entries: list[tuple[str, str, float]] = []
     nonlinear: list[NonlinearTerm] = []
-    for key, value, lineno in pairs:
-        if key == "corr":
+    # Every line is checked for '=' before any value is parsed.
+    for lineno, key, value in list(_key_value_lines(path, SyntheticSpecError, "spec")):
+        key = key.lower()
+        if key in ("corr", "nonlinear"):
+            usage, what = (
+                ("name1,name2,rho", "correlation")
+                if key == "corr"
+                else ("name,kind,coef", "coefficient")
+            )
             parts = [p.strip() for p in value.split(",")]
             if len(parts) != 3:
-                raise SyntheticSpecError(
-                    f"spec line {lineno}: corr needs name1,name2,rho"
-                )
+                raise SyntheticSpecError(f"spec line {lineno}: {key} needs {usage}")
             try:
-                rho = float(parts[2])
+                number = float(parts[2])
             except ValueError:
                 raise SyntheticSpecError(
-                    f"spec line {lineno}: bad correlation {parts[2]!r}"
+                    f"spec line {lineno}: bad {what} {parts[2]!r}"
                 ) from None
-            corr_entries.append((parts[0], parts[1], rho))
-        elif key == "nonlinear":
-            parts = [p.strip() for p in value.split(",")]
-            if len(parts) != 3:
-                raise SyntheticSpecError(
-                    f"spec line {lineno}: nonlinear needs name,kind,coef"
-                )
-            try:
-                coef = float(parts[2])
-            except ValueError:
-                raise SyntheticSpecError(
-                    f"spec line {lineno}: bad coefficient {parts[2]!r}"
-                ) from None
-            nonlinear.append(NonlinearTerm(parts[0], parts[1], coef))
+            if key == "corr":
+                corr_entries.append((parts[0], parts[1], number))
+            else:
+                nonlinear.append(NonlinearTerm(parts[0], parts[1], number))
         else:
             if key in scalars:
                 raise SyntheticSpecError(f"spec line {lineno} repeats key '{key}'")

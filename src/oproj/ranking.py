@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .adapters import ModelHandle, capture_outputs
+from .adapters import ModelHandle
 from .dataio import standardize
 from .errors import (
     AdapterError,
@@ -34,6 +34,8 @@ from .transforms import TransformSet, build_removal_candidates
 
 REPLACEMENT_POLICIES = ("mean", "zero", "constant")
 METRIC_KINDS = ("mse", "accuracy")
+# Repeat-query disagreement above this is flagged as nondeterminism.
+REPEATABILITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -104,10 +106,9 @@ def compute_metric(pred, y, metric: PerformanceMetric) -> float:
 
 @dataclass(frozen=True)
 class FeatureResult:
-    """One report row. ``raw_delta``/``normalized`` are None when the
-    feature's audit errored; ``error`` then carries the reason. A scored
-    row's ``normalized`` is None until rank_all scales it against the
-    others."""
+    """One report row; only rank_all builds them. ``raw_delta`` and
+    ``normalized`` are None when the feature's audit errored; ``error`` then
+    carries the reason."""
 
     name: str
     raw_delta: float | None
@@ -146,12 +147,6 @@ class _Prepared:
     audit: FeatureMatrix
     offset: np.ndarray | None
     scale: np.ndarray | None
-
-
-def _prepare(X: FeatureMatrix, cfg: AuditConfig) -> _Prepared:
-    if cfg.standardize:
-        return _Prepared(X, *standardize(X))
-    return _Prepared(raw=X, audit=X, offset=None, scale=None)
 
 
 def _replacement_value(raw_column: np.ndarray, cfg: AuditConfig) -> float:
@@ -220,43 +215,6 @@ def _named(exc: Exception, current: str) -> Exception:
     return exc
 
 
-def _score(
-    name: str, dropped_count: int, pred, y: np.ndarray, cfg: AuditConfig, baseline: float
-) -> FeatureResult:
-    """Measure how far the metric moved on a feature's query."""
-    b_new = compute_metric(pred, y, cfg.metric)
-    raw_delta = abs(baseline - b_new)
-    if not np.isfinite(raw_delta):
-        raise DegenerateFeatureError(
-            f"feature '{name}': the metric overflows float64 "
-            f"(b_new {b_new}); rescale the data"
-        )
-    return FeatureResult(name, raw_delta, None, dropped_count)
-
-
-def audit_feature(
-    model: ModelHandle,
-    X: FeatureMatrix,
-    y,
-    current: str,
-    cfg: AuditConfig,
-    baseline: float,
-) -> FeatureResult:
-    """Audit a single feature against an already-computed baseline.
-
-    Issues exactly one batch query. Degenerate-feature and model errors are
-    raised with the feature name attached. The result's ``normalized`` is
-    None: it is relative to the other features.
-    """
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    query, dropped = _build_query(_prepare(X, cfg), current, cfg)
-    try:
-        pred = model.predict_batch(query)
-    except AdapterError as exc:
-        raise _named(exc, current) from exc
-    return _score(current, dropped, pred, y, cfg, baseline)
-
-
 def _normalize_entries(
     outcomes: list[FeatureResult], errors: dict[str, str]
 ) -> tuple[FeatureResult, ...]:
@@ -292,16 +250,23 @@ def rank_all(
 ) -> DependenceReport:
     """Audit every feature and assemble the ranked dependence report.
 
-    When ``y`` is None the target is the model's own captured output on the
-    original matrix, so the baseline is perfect by construction and deltas
-    measure how far the model moves when a feature's footprint is removed.
-    The whole run issues exactly k+1 batch queries (one capture plus one per
-    feature); per-feature failures become flagged entries rather than
-    aborting the run.
+    This is the one function that queries the model. When ``y`` is None the
+    target is the model's own captured output on the original matrix, so
+    the baseline is perfect by construction and deltas measure how far the
+    model moves when a feature's footprint is removed. The whole run issues
+    exactly k+1 batch queries (one capture plus one per feature), or k+2
+    with ``check_repeatability``, whose repeat capture warns when the model
+    disagrees with itself beyond REPEATABILITY_TOL. Per-feature failures
+    become flagged entries rather than aborting the run.
     """
-    captured, warning = capture_outputs(
-        model, X, check_repeatability=cfg.check_repeatability
-    )
+    captured = model.predict_batch(X)
+    warnings: tuple[str, ...] = ()
+    if cfg.check_repeatability:
+        spread = float(np.max(np.abs(captured - model.predict_batch(X))))
+        if spread > REPEATABILITY_TOL:
+            warnings = (
+                f"model is not repeatable: repeat query differs by up to {spread:.3e}",
+            )
     target = captured if y is None else np.asarray(y, dtype=np.float64).reshape(-1)
     if target.shape[0] != X.n:
         raise DimensionError(
@@ -313,7 +278,10 @@ def rank_all(
             f"the baseline metric overflows float64 ({baseline}); rescale the "
             "model's outputs or the target"
         )
-    prepared = _prepare(X, cfg)
+    if cfg.standardize:
+        prepared = _Prepared(X, *standardize(X))
+    else:
+        prepared = _Prepared(raw=X, audit=X, offset=None, scale=None)
 
     # Lookahead: up to _model_width() launched queries are in flight.
     # Feature j+1's query is built while their models answer; when the
@@ -331,10 +299,14 @@ def rank_all(
         # the only predictions alive are those of the queries in flight.
         previous, previous_dropped, running = flight[0]
         try:
-            pred = model.collect(running)
-            outcomes.append(
-                _score(previous, previous_dropped, pred, target, cfg, baseline)
-            )
+            b_new = compute_metric(model.collect(running), target, cfg.metric)
+            raw_delta = abs(baseline - b_new)
+            if not np.isfinite(raw_delta):
+                raise DegenerateFeatureError(
+                    f"feature '{previous}': the metric overflows float64 "
+                    f"(b_new {b_new}); rescale the data"
+                )
+            outcomes.append(FeatureResult(previous, raw_delta, None, previous_dropped))
         except _AUDIT_ERRORS as exc:
             errors[previous] = str(_named(exc, previous))
         flight.popleft()
@@ -362,7 +334,6 @@ def rank_all(
         raise AuditFailedError(
             f"all {X.k} feature audits failed: {sorted(errors.values())}"
         )
-    warnings = (warning,) if warning else ()
     return DependenceReport(
         baseline=baseline,
         entries=_normalize_entries(outcomes, errors),

@@ -8,6 +8,7 @@ masquerade as the real thing.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -77,9 +78,23 @@ class FidelityScore:
     n_holdout: int
 
 
+def _sums_of_squares(y: np.ndarray, pred: np.ndarray) -> tuple[float, float]:
+    """Residual and total sums of squares; inf or nan where they overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.sum((y - pred) ** 2)), float(np.sum((y - np.mean(y)) ** 2))
+
+
 def _r_squared(y: np.ndarray, pred: np.ndarray) -> float:
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    """1 - SS_res / SS_tot. Sums beyond float64 range are taken again on y
+    and pred divided by the power of two above y's peak, which leaves r²
+    unchanged; an r² whose sums are in range comes from them as they are."""
+    ss_res, ss_tot = _sums_of_squares(y, pred)
+    if not np.isfinite([ss_res, ss_tot]).all():
+        # So divided, SS_tot is in range, and SS_res is out of range only
+        # where r² is. The joint peak of y and pred would let SS_tot
+        # underflow to 0 when the predictions dwarf y.
+        e = math.frexp(float(np.max(np.abs(y))))[1]
+        ss_res, ss_tot = _sums_of_squares(np.ldexp(y, -e), np.ldexp(pred, -e))
     if ss_tot == 0.0:
         return 1.0 if ss_res == 0.0 else 0.0
     return 1.0 - ss_res / ss_tot
@@ -129,11 +144,12 @@ def fit_ridge(X: FeatureMatrix | np.ndarray, y, lam: float = 1e-3) -> RidgeModel
             "normal equations are singular; retry with lam > 0"
         ) from exc
     with np.errstate(over="ignore", invalid="ignore"):
-        fit_r2 = _r_squared(y, Z @ w)
-    if not (np.isfinite(w).all() and np.isfinite(fit_r2)):
+        fitted = Z @ w
+    if not (np.isfinite(w).all() and np.isfinite(_sums_of_squares(y, fitted)).all()):
         raise NonFiniteFitError(
             "ridge fit is not finite in float64; rescale the data or the target"
         )
+    fit_r2 = _r_squared(y, fitted)
     coefficients = w[1:].copy()
     coefficients.flags.writeable = False
     return RidgeModel(coefficients=coefficients, intercept=float(w[0]), fit_r2=fit_r2)

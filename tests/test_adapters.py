@@ -15,7 +15,6 @@ from oproj.adapters import (
     InProcessModel,
     SubprocessModel,
     SubprocessSpec,
-    capture_outputs,
     format_matrix_csv,
     parse_prediction_lines,
 )
@@ -28,6 +27,7 @@ from oproj.errors import (
     RowCountMismatchError,
 )
 from oproj.linalg import FeatureMatrix
+from oproj.ranking import AuditConfig, rank_all
 
 
 def matrix(data, names=None):
@@ -325,25 +325,18 @@ class TestSubprocessModel:
 
 
 class TestCaptureOutputs:
+    """rank_all's first query captures the model's outputs on the original
+    matrix; the jittery model's warning is checked in test_ranking."""
+
     def test_matches_predict_batch_exactly(self, rng):
         m = matrix(rng.standard_normal((20, 3)))
         h = InProcessModel(lambda a: a @ np.array([1.0, -2.0, 0.5]))
-        y, warning = capture_outputs(h, m)
-        np.testing.assert_array_equal(y, h.predict_batch(m))
-        assert warning is None
-
-    def test_repeatability_check_flags_jitter(self, rng):
-        m = matrix(rng.standard_normal((15, 2)))
-        jitter_rng = np.random.default_rng(0)
-
-        def noisy(a):
-            return a[:, 0] + 1e-6 * jitter_rng.standard_normal(a.shape[0])
-
-        _, warning = capture_outputs(InProcessModel(noisy), m, check_repeatability=True)
-        assert warning is not None and "not repeatable" in warning
+        report = rank_all(h, m, AuditConfig())
+        np.testing.assert_array_equal(report.target, h.predict_batch(m))
+        assert report.warnings == ()
 
     def test_repeatability_check_passes_deterministic(self, rng):
         m = matrix(rng.standard_normal((15, 2)))
         h = InProcessModel(lambda a: a[:, 0])
-        _, warning = capture_outputs(h, m, check_repeatability=True)
-        assert warning is None
+        report = rank_all(h, m, AuditConfig(check_repeatability=True))
+        assert report.warnings == ()

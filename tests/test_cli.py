@@ -490,6 +490,33 @@ class TestAudit:
         assert "ridge normal equations overflow float64" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_ridge_surrogate_fidelity_beyond_float64_squares(self, tmp_path):
+        # One holdout row's recorded target is 1e200, so the fidelity's sums
+        # of squares overflow; r² itself is about 1 - 40/39 on 40 holdout
+        # rows.
+        rng = np.random.default_rng(5)
+        data = rng.standard_normal((200, 2))
+        target = data @ np.array([1.0, 2.0])
+        target[np.random.default_rng(0).permutation(200)[0]] = 1e200
+        lines = ["a,b,t"] + [
+            f"{a!r},{b!r},{t!r}" for (a, b), t in zip(data.tolist(), target.tolist())
+        ]
+        csv = tmp_path / "big_target.csv"
+        csv.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        code = main(
+            [
+                "audit",
+                "--data", str(csv),
+                "--surrogate", "ridge",
+                "--target", "column:t",
+                "--out", str(out),
+            ]
+        )  # fmt: skip
+        assert code == 0
+        fidelity = json.loads((out / "report.json").read_text())["surrogate_fidelity"]
+        assert fidelity["value"] == pytest.approx(1.0 - 40.0 / 39.0, rel=1e-12)
+
     def test_categorical_schema_groups(self, tmp_path):
         csv = tmp_path / "cat.csv"
         rng = np.random.default_rng(0)

@@ -645,3 +645,23 @@ class TestSyntheticSpecFile:
         p.write_text("n=10\ncoefficients=1,2\ncorr=x1,zz,0.5\n")
         with pytest.raises(SyntheticSpecError, match="unknown feature"):
             parse_synthetic_spec(p)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n=10\ncoefficients=1,2\nbogus\n", "spec line 3 is not key=value: 'bogus'"),
+            ("corr=x1,x2\nbogus\n", "spec line 2 is not key=value: 'bogus'"),
+            ("corr=x1,x2\n", "spec line 1: corr needs name1,name2,rho"),
+            ("CORR = x1, x2, high\n", "spec line 1: bad correlation 'high'"),
+            ("nonlinear=x1,squared\n", "spec line 1: nonlinear needs name,kind,coef"),
+            ("nonlinear=x1,squared,big\n", "spec line 1: bad coefficient 'big'"),
+            ("n=10\nn=11\n", "spec line 2 repeats key 'n'"),
+        ],
+    )
+    def test_bad_line_message(self, tmp_path, text, message):
+        # A line without '=' is refused before any earlier value is parsed.
+        p = tmp_path / "spec.txt"
+        p.write_text(text)
+        with pytest.raises(SyntheticSpecError) as info:
+            parse_synthetic_spec(p)
+        assert str(info.value) == message

@@ -101,6 +101,21 @@ def test_dataio_does_not_import_adapters():
     assert not [m for m in imported if (m + ".").startswith("oproj.adapters.")]
 
 
+def test_only_adapters_and_ranking_query_the_model():
+    """rank_all issues every query of an audit and adapters implements
+    them; a query from anywhere else would be one the k+1 count misses."""
+    callers = sorted(
+        f"{path.name}:{node.lineno} .{node.func.attr}"
+        for path in sorted((SRC / "oproj").glob("*.py"))
+        if path.name not in ("adapters.py", "ranking.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("predict_batch", "launch", "collect")
+    )
+    assert callers == []
+
+
 def subcommand_parsers():
     from oproj.cli import build_parser
 

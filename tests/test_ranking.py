@@ -24,7 +24,6 @@ from oproj.ranking import (
     FeatureResult,
     PerformanceMetric,
     _normalize_entries,
-    audit_feature,
     compute_metric,
     rank_all,
 )
@@ -52,9 +51,9 @@ class CountingModel(InProcessModel):
         super().__init__(fn, **kwargs)
         self.calls = 0
 
-    def _predict(self, X):
+    def _start(self, X):
         self.calls += 1
-        return super()._predict(X)
+        return super()._start(X)
 
 
 class TestComputeMetric:
@@ -112,6 +111,10 @@ class TestBaselinePerformance:
 
 
 class TestAuditFeature:
+    """One feature's entry in rank_all's report. Scored against the model's
+    own output on the original matrix, the baseline is exactly 0.0, so an
+    entry's raw delta is the MSE of that feature's query."""
+
     def test_orthonormal_design_closed_form(self):
         # Closed form: removing an orthonormal column's contribution raises
         # the MSE by its squared coefficient.
@@ -121,7 +124,7 @@ class TestAuditFeature:
         h = InProcessModel(lambda a: a @ beta)
         y = h.predict_batch(m)
         cfg = AuditConfig(transforms=TransformSet.none())
-        out = audit_feature(h, m, y, "x2", cfg, baseline=0.0)
+        out = rank_all(h, m, cfg, y=y).entry("x2")
         assert isinstance(out, FeatureResult)
         assert out.raw_delta == pytest.approx(4.0, rel=1e-9)
 
@@ -133,18 +136,19 @@ class TestAuditFeature:
         y = data @ beta
         h = InProcessModel(lambda a: a @ beta)
         cfg = AuditConfig(transforms=TransformSet.none())
-        out = audit_feature(h, m, y, "x2", cfg, baseline=0.0)
+        report = rank_all(h, m, cfg, y=y)
+        assert report.baseline == 0.0
         reduced = m.drop("x2")
         refit = fit_ridge(reduced, y, lam=0.0)
         refit_mse = float(np.mean((refit.predict(reduced) - y) ** 2))
-        assert out.raw_delta == pytest.approx(refit_mse, rel=1e-6)
+        assert report.entry("x2").raw_delta == pytest.approx(refit_mse, rel=1e-6)
 
     def test_single_feature_boundary(self, rng):
         x = rng.standard_normal(300)
         m = matrix(x[:, None])
         h = InProcessModel(lambda a: 3.0 * a[:, 0])
         y = h.predict_batch(m)
-        out = audit_feature(h, m, y, "x1", AuditConfig(), baseline=0.0)
+        out = rank_all(h, m, AuditConfig(), y=y).entry("x1")
         # Querying on the constant mean column collapses the prediction, so
         # the delta is the model's full predictive contribution.
         expected = float(np.mean((3.0 * x - 3.0 * x.mean()) ** 2))
@@ -155,8 +159,9 @@ class TestAuditFeature:
         h = InProcessModel(lambda a: a[:, 1])
         y = h.predict_batch(m)
         cfg = AuditConfig(standardize=False)
-        with pytest.raises(DegenerateFeatureError, match="'flat'"):
-            audit_feature(h, m, y, "flat", cfg, baseline=0.0)
+        flat = rank_all(h, m, cfg, y=y).entry("flat")
+        assert flat.raw_delta is None
+        assert "'flat'" in flat.error and "constant" in flat.error
 
     def test_dropped_count_surfaces(self, rng):
         # x2 == x1 makes the audited feature's square collide with x1's
@@ -168,7 +173,7 @@ class TestAuditFeature:
         h = InProcessModel(lambda a: a[:, 1])
         y = h.predict_batch(m)
         cfg = AuditConfig(standardize=False, transforms=TransformSet(False, (2,), False))
-        out = audit_feature(h, m, y, "x1", cfg, baseline=0.0)
+        out = rank_all(h, m, cfg, y=y).entry("x1")
         # candidates: [x1, x1^2=const]; the constant square is a new
         # direction (not dropped), so removal keeps both.
         assert out.dropped_count == 0
@@ -177,7 +182,7 @@ class TestAuditFeature:
         h3 = InProcessModel(lambda a: a[:, 2])
         y3 = h3.predict_batch(m3)
         cfg3 = AuditConfig(standardize=False, transforms=TransformSet(False, (3,), False))
-        out3 = audit_feature(h3, m3, y3, "x1", cfg3, baseline=0.0)
+        out3 = rank_all(h3, m3, cfg3, y=y3).entry("x1")
         # x1^3 == x1 on a +/-1 column: dropped as rank-deficient.
         assert out3.dropped_count == 1
 
@@ -196,9 +201,10 @@ class TestAuditFeature:
         cfg_const = AuditConfig(
             transforms=TransformSet.none(), replacement="constant", replacement_value=5.0
         )
-        d_mean = audit_feature(h, m, y, "x1", cfg_mean, 0.0).raw_delta
-        d_zero = audit_feature(h, m, y, "x1", cfg_zero, 0.0).raw_delta
-        d_const = audit_feature(h, m, y, "x1", cfg_const, 0.0).raw_delta
+        d_mean, d_zero, d_const = (
+            rank_all(h, m, cfg, y=y).entry("x1").raw_delta
+            for cfg in (cfg_mean, cfg_zero, cfg_const)
+        )
         mu = float(np.mean(data[:, 0]))
         assert d_mean == pytest.approx(float(np.mean((mu - data[:, 0]) ** 2)), rel=1e-9)
         assert d_zero == pytest.approx(float(np.mean(data[:, 0] ** 2)), rel=1e-9)
@@ -214,8 +220,9 @@ class TestAuditFeature:
 
         h = InProcessModel(flaky)
         y = h.predict_batch(m)
-        with pytest.raises(AdapterError, match="feature 'x2'"):
-            audit_feature(h, m, y, "x2", AuditConfig(), baseline=0.0)
+        x2 = rank_all(h, m, AuditConfig(), y=y).entry("x2")
+        assert x2.raw_delta is None
+        assert "feature 'x2'" in x2.error and "backend exploded" in x2.error
 
 
 class TestNormalization:
@@ -313,12 +320,14 @@ class TestRankAll:
         r2 = rank_all(h, m, cfg)
         assert r1 == r2
 
-    def test_query_count_is_k_plus_one(self, rng):
+    @pytest.mark.parametrize("check_repeatability, queries", [(False, 5), (True, 6)])
+    def test_query_count_is_k_plus_one(self, rng, check_repeatability, queries):
+        # k+1 queries, or k+2 when the capture is repeated.
         data = rng.standard_normal((50, 4))
         m = matrix(data)
         h = CountingModel(lambda a: a[:, 0])
-        rank_all(h, m, AuditConfig())
-        assert h.calls == 5
+        rank_all(h, m, AuditConfig(check_repeatability=check_repeatability))
+        assert h.calls == queries
 
     def test_scale_invariance_of_order(self, rng):
         data = rng.standard_normal((600, 3))
@@ -492,12 +501,11 @@ class TestRankAll:
     def test_overflowing_metric_flags_the_feature(self):
         out = np.array([1.0, -1.0, 1e160])
 
-        class Model(InProcessModel):
-            def _predict(self, X):  # the reply overflows once x1 is replaced
-                return out if np.ptp(X.data[:, 0]) == 0.0 else np.zeros(3)
+        def model(a):  # the reply overflows once x1 is replaced
+            return out if np.ptp(a[:, 0]) == 0.0 else np.zeros(3)
 
         m = matrix([[1.0, 0.0], [2.0, 1.0], [4.0, 0.0]])
-        report = rank_all(Model(lambda a: a), m, AuditConfig(), y=np.zeros(3))
+        report = rank_all(InProcessModel(model), m, AuditConfig(), y=np.zeros(3))
         x1 = report.entry("x1")
         assert x1.raw_delta is None and "feature 'x1'" in x1.error
         assert "overflows" in x1.error
@@ -619,25 +627,21 @@ class TestLookahead:
         command = (*fixture_command("misbehaving_model.py").split(), "constant", "x3")
         h = SubprocessModel(SubprocessSpec(command))
         cfg = AuditConfig()
-        target = h.predict_batch(m)
-        baseline = compute_metric(target, target, cfg.metric)
-        expected = {
-            name: audit_feature(h, m, target, name, cfg, baseline)
-            for name in ("x1", "x2", "x4")
-        }
-        top = max(o.raw_delta for o in expected.values())
+
+        def sequential(a):  # answers inside launch, so each query runs alone
+            return h.predict_batch(FeatureMatrix(m.names, a))
+
+        expected = rank_all(InProcessModel(sequential), m, cfg)
+        assert "feature 'x3'" in expected.entry("x3").error
         for width in (1, 2):
             monkeypatch.setattr(ranking, "_model_width", lambda: width)
             report = rank_all(h, m, cfg)
 
             error = report.entry("x3").error
             assert error is not None and "feature 'x3'" in error and "status 1" in error
-            for name, outcome in expected.items():
-                entry = report.entry(name)
-                assert entry.error is None
-                assert entry.raw_delta == outcome.raw_delta
-                assert entry.dropped_count == outcome.dropped_count
-                assert entry.normalized == 100.0 * (outcome.raw_delta / top)
+            for name in ("x1", "x2", "x4"):
+                assert report.entry(name).error is None
+            assert report.entries == expected.entries
 
     @needs_proc
     def test_exception_kills_the_model_in_flight(self, tmp_path, monkeypatch, rng):

@@ -7,7 +7,7 @@ from oproj.adapters import InProcessModel
 from oproj.errors import NonFiniteFitError, SingularSystemError
 from oproj.linalg import FeatureMatrix
 from oproj.ranking import AuditConfig, rank_all
-from oproj.surrogate import MAX_ITER, fit_logistic, fit_ridge, train_surrogate
+from oproj.surrogate import MAX_ITER, _r_squared, fit_logistic, fit_ridge, train_surrogate
 
 
 def matrix(data, names=None):
@@ -314,6 +314,20 @@ class TestTrainSurrogate:
             orders.append([e.name for e in report.entries])
         assert orders[0] == orders[1]
         assert orders[0][0] == "x1"
+
+    @pytest.mark.parametrize(
+        "y, pred, expected",
+        [
+            ([1.0, 2.0, 1e200], [1.0, 2.0, 3.0], -0.5),
+            ([1e300, -1e300, 0.5], [-1e300, 1e300, 0.0], -3.0),
+            ([0.0, 1e10, 2e10], [0.0, 1e10, 1e155], -5e289),  # 1 - 1e310 / 2e20
+            ([1.0, 2.0, 3.0], [1.0, 2.0, 1e300], -np.inf),
+        ],
+    )
+    def test_r_squared_whose_sums_overflow(self, y, pred, expected):
+        # Closed forms; the last r² is beyond float64, so it reads -inf
+        # rather than a finite value that SS_tot underflowing would give.
+        assert _r_squared(np.array(y), np.array(pred)) == pytest.approx(expected, rel=1e-12)
 
     def test_unknown_family(self, rng):
         X = matrix(rng.standard_normal((20, 1)))
