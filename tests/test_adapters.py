@@ -326,7 +326,7 @@ class TestSubprocessModel:
 
 class TestCaptureOutputs:
     """rank_all's first query captures the model's outputs on the original
-    matrix; the jittery model's warning is checked in test_ranking."""
+    matrix, and with check_repeatability a second capture is compared to it."""
 
     def test_matches_predict_batch_exactly(self, rng):
         m = matrix(rng.standard_normal((20, 3)))
@@ -334,6 +334,17 @@ class TestCaptureOutputs:
         report = rank_all(h, m, AuditConfig())
         np.testing.assert_array_equal(report.target, h.predict_batch(m))
         assert report.warnings == ()
+
+    def test_repeatability_check_flags_jitter(self, rng):
+        m = matrix(rng.standard_normal((15, 2)))
+        jitter_rng = np.random.default_rng(0)
+
+        def noisy(a):
+            return a[:, 0] + 1e-6 * jitter_rng.standard_normal(a.shape[0])
+
+        cfg = AuditConfig(check_repeatability=True)
+        report = rank_all(InProcessModel(noisy), m, cfg)
+        assert any("not repeatable" in w for w in report.warnings)
 
     def test_repeatability_check_passes_deterministic(self, rng):
         m = matrix(rng.standard_normal((15, 2)))
