@@ -32,6 +32,11 @@ from .errors import (
 )
 from .linalg import FeatureMatrix
 
+# A failed model's error quotes the last STDERR_QUOTE_CHARS characters of
+# its stderr, read from at most its last STDERR_TAIL_BYTES bytes.
+STDERR_TAIL_BYTES = 4096
+STDERR_QUOTE_CHARS = 500
+
 
 class ModelHandle(ABC):
     """A queryable black box: n rows in, n finite predictions out.
@@ -225,11 +230,13 @@ class SubprocessModel(ModelHandle):
             )
         with running.stdout, running.stderr:
             if proc.returncode != 0:
-                running.stderr.seek(0)
-                stderr = running.stderr.read().decode("utf-8", errors="replace").strip()
+                # A traceback ends with its cause: quote the end of stderr.
+                size = running.stderr.seek(0, os.SEEK_END)
+                running.stderr.seek(max(0, size - STDERR_TAIL_BYTES))
+                tail = running.stderr.read().decode("utf-8", errors="replace").strip()
                 raise ModelExitError(
                     f"model command {cmd} exited with status {proc.returncode}"
-                    + (f": {stderr[:500]}" if stderr else "")
+                    + (f": {tail[-STDERR_QUOTE_CHARS:]}" if tail else "")
                 )
             running.stdout.seek(0)
             reply = running.stdout.read()

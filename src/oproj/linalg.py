@@ -8,6 +8,10 @@ finite placeholders, and the caller overwrites that column.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,6 +29,86 @@ from .errors import (
 DROP_TOL = 1e-10
 
 _TINY = float(np.finfo(np.float64).tiny)
+
+# Rows of B @ (B^T D) formed at a time in transform_against_feature, so its
+# scratch is ROW_BLOCK x k rather than n x k.
+ROW_BLOCK = 4096
+
+# (set, get) names of OpenBLAS's thread-count functions: numpy's wheel
+# ships scipy-openblas, others link a plain OpenBLAS, LP64 or ILP64.
+_OPENBLAS_THREAD_FUNCTIONS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+)
+
+
+@functools.cache
+def _openblas():
+    """The (set, get) thread-count functions of the OpenBLAS mapped into
+    this process, found by name in /proc/self/maps; None where there is no
+    such library or it exports none of the names tried."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return None
+    paths = sorted({f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5]})
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_THREAD_FUNCTIONS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                set_threads, get_threads = lib[set_name], lib[get_name]
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                return set_threads, get_threads
+    return None
+
+
+def blas_threads() -> int | None:
+    """How many threads numpy's OpenBLAS may use now; None where no
+    OpenBLAS is found."""
+    found = _openblas()
+    return None if found is None else found[1]()
+
+
+_pin_lock = threading.Lock()
+_pin_depth = 0  # one_blas_thread blocks running now
+_pin_restore = 0  # the count before the first of them began
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, then restore the
+    count it had, also when the block raises.
+
+    One thread gives every product and dot the same summation order
+    whatever OPENBLAS_NUM_THREADS is, and stops idle OpenBLAS threads
+    spinning between calls. The count is process-wide: overlapping blocks,
+    on any threads, restore it when the last of them exits. Where no
+    OpenBLAS is found this does nothing.
+    """
+    global _pin_depth, _pin_restore
+    found = _openblas()
+    if found is None:
+        yield
+        return
+    set_threads, get_threads = found
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_restore = get_threads()
+            set_threads(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                set_threads(_pin_restore)
 
 
 class FeatureMatrix:
@@ -145,17 +229,21 @@ class ProjectionBasis:
         return self.array.T
 
 
-def project_out(v: np.ndarray, u: np.ndarray, uu: float | None = None) -> np.ndarray:
+def project_out(
+    v: np.ndarray, u: np.ndarray, uu: float | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
     """Component of ``v`` orthogonal to ``u``: v - (u.v / u.u) u.
 
     ``uu`` is ``float(np.dot(u, u))``, for a caller that projects many
     columns against one ``u``. ``u.u`` must be a positive normal float;
-    transform_against_vector rescales ``u`` to make it one.
+    transform_against_vector rescales ``u`` to make it one. The result is
+    written into ``out`` when one is given; it must not overlap ``v``.
     """
     if uu is None:
         uu = float(np.dot(u, u))
     coef = float(np.dot(u, v)) / uu
-    return v - coef * u
+    scaled = np.multiply(u, coef, out=out)
+    return np.subtract(v, scaled, out=scaled)
 
 
 def orthonormalize(candidates: FeatureMatrix) -> ProjectionBasis:
@@ -228,11 +316,18 @@ def transform_against_feature(
     B = basis.array
     # Two passes: the second removes the components reintroduced by
     # rounding, keeping residuals orthogonal relative to their own
-    # (possibly tiny) norms.
-    out[...] = X.data
-    scratch = np.empty(out.shape, order="F")
+    # (possibly tiny) norms. Each writes src - B (B^T src) into out, a
+    # block of rows at a time; the first reads X itself.
+    scratch = np.empty((min(ROW_BLOCK, X.n), X.k), order="F")
+    src = X.data
     for _ in range(2):
-        out -= np.matmul(B, B.T @ out, out=scratch)
+        coef = B.T @ src
+        for start in range(0, X.n, ROW_BLOCK):
+            rows = slice(start, start + ROW_BLOCK)
+            block = B[rows]
+            part = np.matmul(block, coef, out=scratch[: block.shape[0]])
+            np.subtract(src[rows], part, out=out[rows])
+        src = out
 
 
 def transform_against_vector(X: FeatureMatrix, current: str, out: np.ndarray) -> None:
@@ -259,4 +354,4 @@ def transform_against_vector(X: FeatureMatrix, current: str, out: np.ndarray) ->
         uu = float(np.dot(u, u))
     for j in range(X.k):
         if j != idx:
-            out[:, j] = project_out(X.data[:, j], u, uu)
+            project_out(X.data[:, j], u, uu, out=out[:, j])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -26,6 +27,8 @@ from .errors import (
 )
 from .linalg import (
     FeatureMatrix,
+    ProjectionBasis,
+    one_blas_thread,
     orthonormalize,
     transform_against_feature,
     transform_against_vector,
@@ -157,50 +160,61 @@ def _replacement_value(raw_column: np.ndarray, cfg: AuditConfig) -> float:
     return float(cfg.replacement_value)
 
 
-def _build_query(
+def _removal_basis(
     prepared: _Prepared, current: str, cfg: AuditConfig
-) -> tuple[FeatureMatrix, int]:
-    """The query that removes ``current``, and how many removal candidates
-    its basis dropped.
+) -> ProjectionBasis | None:
+    """The orthonormal basis of the subspace that removes ``current``; None
+    when ``current``'s own column spans it, or when no other column is left
+    to project.
 
-    The other columns are projected off the removal subspace and mapped
-    back to the model's native scale; the audited column becomes a
-    constant carrying no information. The query is the only n x k array
-    built here besides the basis route's projection scratch.
+    rank_all builds each feature's basis on a worker thread while the
+    feature before it is projected, queried and scored.
     """
-    audit, raw = prepared.audit, prepared.raw
+    audit = prepared.audit
     idx = audit.index(current)
     if np.ptp(audit.data[:, idx]) == 0.0:
         raise DegenerateFeatureError(
             f"feature '{current}' is constant and cannot be audited"
         )
+    if audit.k == 1:
+        return None
+    try:
+        candidates = build_removal_candidates(audit, current, cfg.transforms)
+        if candidates.k == 1:
+            return None
+        return orthonormalize(candidates)
+    except (DegenerateFeatureError, DegenerateSubspaceError) as exc:
+        raise type(exc)(f"feature '{current}': {exc}") from exc
 
-    # Allocated before the candidates and the basis: the allocator then
-    # reuses one heap region for every feature's buffers, where otherwise
-    # it hands the region back after each query and faults it in anew.
+
+def _build_query(
+    prepared: _Prepared, current: str, basis: ProjectionBasis | None, cfg: AuditConfig
+) -> FeatureMatrix:
+    """The query that removes ``current``, given its removal basis.
+
+    The other columns are projected off the removal subspace and mapped
+    back to the model's native scale; the audited column becomes a
+    constant carrying no information. The query is the only n x k array
+    built here.
+    """
+    audit, raw = prepared.audit, prepared.raw
+    idx = audit.index(current)
     query = np.empty((raw.n, raw.k), order="F")
-    dropped = 0
     if raw.k > 1:
-        try:
-            candidates = build_removal_candidates(audit, current, cfg.transforms)
-            if len(candidates) == 1:
-                # Pure linear removal: identical arithmetic to projecting
-                # against the raw vector, so transform-free runs reduce
-                # exactly to the single-vector algorithm.
-                transform_against_vector(audit, current, query)
-            else:
-                basis = orthonormalize(candidates)
-                dropped = basis.dropped_count
-                transform_against_feature(audit, current, basis, query)
-        except (DegenerateFeatureError, DegenerateSubspaceError) as exc:
-            raise type(exc)(f"feature '{current}': {exc}") from exc
+        if basis is None:
+            # Pure linear removal: identical arithmetic to projecting
+            # against the raw vector, so transform-free runs reduce
+            # exactly to the single-vector algorithm.
+            transform_against_vector(audit, current, query)
+        else:
+            transform_against_feature(audit, current, basis, query)
         if prepared.scale is not None:
             # z * scale + offset on every element; the audited column is
             # overwritten below.
             query *= prepared.scale
             query += prepared.offset
     query[:, idx] = _replacement_value(raw.data[:, idx], cfg)
-    return FeatureMatrix._adopt(raw.names, query), dropped
+    return FeatureMatrix._adopt(raw.names, query)
 
 
 # What a feature's audit flags instead of aborting the run.
@@ -242,6 +256,7 @@ def _model_width() -> int:
     return min(2, cpus)
 
 
+@one_blas_thread()
 def rank_all(
     model: ModelHandle,
     X: FeatureMatrix,
@@ -258,6 +273,13 @@ def rank_all(
     with ``check_repeatability``, whose repeat capture warns when the model
     disagrees with itself beyond REPEATABILITY_TOL. Per-feature failures
     become flagged entries rather than aborting the run.
+
+    The audit runs with numpy's OpenBLAS set to one thread (see
+    ``one_blas_thread``), an in-process model's own BLAS calls included, so
+    the report has the same bits whatever OPENBLAS_NUM_THREADS is. A
+    worker thread builds feature j+1's removal basis while feature j is
+    projected, queried and scored, one basis at a time; the model is only
+    called on the caller's thread.
     """
     captured = model.predict_batch(X)
     warnings: tuple[str, ...] = ()
@@ -288,7 +310,8 @@ def rank_all(
     # flight is full its oldest query is collected and scored before j+1's
     # is encoded and launched, so replies are scored in launch order. An
     # in-process model answers inside launch, so its flight holds finished
-    # predictions.
+    # predictions. The worker builds each removal basis one feature ahead,
+    # and the error it raises for a feature surfaces at that feature's turn.
     width = _model_width()
     outcomes: list[FeatureResult] = []
     errors: dict[str, str] = {}
@@ -311,23 +334,30 @@ def rank_all(
             errors[previous] = str(_named(exc, previous))
         flight.popleft()
 
-    def launch(name: str) -> None:
+    def launch(name: str, basis: ProjectionBasis | None) -> None:
         # A function, so that its query is freed on return and one n x k
         # query is alive at a time.
-        query, dropped = _build_query(prepared, name, cfg)
+        query = _build_query(prepared, name, basis, cfg)
         if len(flight) == width:
             settle_oldest()
+        dropped = 0 if basis is None else basis.dropped_count
         flight.append((name, dropped, model.launch(query)))
 
+    worker = ThreadPoolExecutor(max_workers=1)
     try:
-        for name in X.names:
+        ahead = worker.submit(_removal_basis, prepared, X.names[0], cfg)
+        for j, name in enumerate(X.names):
+            building = ahead
+            if j + 1 < X.k:
+                ahead = worker.submit(_removal_basis, prepared, X.names[j + 1], cfg)
             try:
-                launch(name)
+                launch(name, building.result())
             except _AUDIT_ERRORS as exc:
                 errors[name] = str(_named(exc, name))
         while flight:
             settle_oldest()
     finally:
+        worker.shutdown(cancel_futures=True)
         for _, _, running in flight:
             model.abort(running)
     if not outcomes:

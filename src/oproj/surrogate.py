@@ -16,7 +16,7 @@ import numpy as np
 
 from .adapters import InProcessModel, ModelHandle
 from .errors import DimensionError, NonFiniteFitError, SingularSystemError
-from .linalg import FeatureMatrix
+from .linalg import FeatureMatrix, one_blas_thread
 
 GRADIENT_TOL = 1e-6
 # Newton's method converges in about ten steps; the cap ends a fit that does not.
@@ -246,6 +246,7 @@ class SurrogateFit:
     handle: ModelHandle
 
 
+@one_blas_thread()
 def train_surrogate(
     X: FeatureMatrix,
     y,
@@ -257,7 +258,8 @@ def train_surrogate(
     """Fit a stand-in on a seeded 80/20 split and score it on the holdout.
 
     The audited model is the train-split fit, so the fidelity rows stay
-    untouched by fitting.
+    untouched by fitting. Like rank_all, it runs with numpy's OpenBLAS on
+    one thread.
     """
     if family not in ("ridge", "logistic"):
         raise ValueError(f"unknown surrogate family '{family}'")

@@ -5,6 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oproj.linalg as linalg
+from oproj.linalg import blas_threads
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -42,3 +45,18 @@ def process_gone(pid: int, within: float = 5.0) -> bool:
 needs_proc = pytest.mark.skipif(
     not Path("/proc/self/stat").exists(), reason="reads process states from /proc"
 )
+
+
+needs_openblas = pytest.mark.skipif(
+    blas_threads() is None, reason="numpy's OpenBLAS was not found in this process"
+)
+
+
+@pytest.fixture
+def two_blas_threads():
+    """OpenBLAS set to two threads for the test, then back to its count."""
+    set_threads = linalg._openblas()[0]
+    before = blas_threads()
+    set_threads(2)
+    yield
+    set_threads(before)

@@ -6,6 +6,7 @@ Usage: misbehaving_model.py MODE [COLUMNS]
   malformed emit a non-numeric line at row 1
   nonfinite emit NaN at row 0
   fail      exit 3 after reading input
+  noisy     write 10 KB of noise to stderr, then a last line, and exit 3
   hang      read input then sleep far past any test timeout
   constant  exit 1 if a column named in COLUMNS is constant, else emit the
             row sums
@@ -38,6 +39,11 @@ def main():
             print("0.0")
     elif mode == "fail":
         print("something broke", file=sys.stderr)
+        sys.exit(3)
+    elif mode == "noisy":
+        for i in range(200):
+            print(f"noise line {i:04d} " + "." * 33, file=sys.stderr)
+        print("ValueError: the real cause", file=sys.stderr)
         sys.exit(3)
     elif mode == "hang":
         time.sleep(60)

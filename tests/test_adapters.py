@@ -287,6 +287,17 @@ class TestSubprocessModel:
         with pytest.raises(ModelExitError, match="status 3"):
             h.predict_batch(m)
 
+    def test_nonzero_exit_quotes_the_end_of_a_long_stderr(self):
+        # 10 KB of noise, then the line that says what went wrong.
+        m = matrix([[1.0], [2.0]])
+        h = subprocess_model("misbehaving_model.py", "noisy")
+        with pytest.raises(ModelExitError, match="status 3") as info:
+            h.predict_batch(m)
+        message = str(info.value)
+        assert message.endswith("ValueError: the real cause")
+        assert "noise line 0000" not in message
+        assert len(message) < 1000
+
     def test_timeout(self):
         m = matrix([[1.0], [2.0]])
         h = subprocess_model("misbehaving_model.py", "hang", timeout=1.0)

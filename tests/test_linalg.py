@@ -1,8 +1,13 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oproj.linalg as linalg
+from conftest import needs_openblas
 from oproj.dataio import load_csv, save_csv, standardize
 from oproj.errors import (
     DegenerateFeatureError,
@@ -13,6 +18,8 @@ from oproj.errors import (
 from oproj.linalg import (
     FeatureMatrix,
     ProjectionBasis,
+    blas_threads,
+    one_blas_thread,
     orthonormalize,
     project_out,
     transform_against_feature,
@@ -422,3 +429,57 @@ class TestTransformAgainstVector:
         m = cols(x1=[1, 0, 0], x2=[0, 1, 0])
         out = vector_route(m, "x1")
         np.testing.assert_allclose(out[:, 1], [0, 1, 0], atol=1e-15)
+
+
+@needs_openblas
+@pytest.mark.usefixtures("two_blas_threads")
+class TestOneBlasThread:
+    def test_one_thread_inside_and_the_count_restored(self):
+        with one_blas_thread():
+            assert blas_threads() == 1
+            with one_blas_thread():
+                assert blas_threads() == 1
+            assert blas_threads() == 1
+        assert blas_threads() == 2
+
+    def test_count_restored_when_the_block_raises(self):
+        with pytest.raises(RuntimeError, match="inside"):
+            with one_blas_thread():
+                raise RuntimeError("inside")
+        assert blas_threads() == 2
+
+    def test_overlapping_blocks_restore_when_the_last_exits(self):
+        # More threads than CPUs, switching often: a lost update to the
+        # depth count would restore the count under a running block, or
+        # leave it at one after all have left.
+        seen, errors = [], []
+
+        def audit():
+            try:
+                for _ in range(200):
+                    with one_blas_thread():
+                        seen.append(blas_threads())
+            except Exception as exc:  # reported below, on the test's thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=audit) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert seen == [1] * 1600
+        assert blas_threads() == 2
+
+
+def test_one_blas_thread_does_nothing_without_openblas(monkeypatch):
+    monkeypatch.setattr(linalg, "_openblas", lambda: None)
+    assert blas_threads() is None
+    with one_blas_thread():
+        assert blas_threads() is None

@@ -1,6 +1,10 @@
+import os
 import shlex
+import subprocess
 import sys
+import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oproj.ranking as ranking
-from conftest import FIXTURES, fixture_command, needs_proc, process_gone
+from conftest import FIXTURES, fixture_command, needs_openblas, needs_proc, process_gone
 from oproj.adapters import InProcessModel, SubprocessModel, SubprocessSpec
 from oproj.dataio import standardize
 from oproj.errors import (
@@ -18,7 +22,7 @@ from oproj.errors import (
     DimensionError,
     NonFiniteFitError,
 )
-from oproj.linalg import FeatureMatrix
+from oproj.linalg import FeatureMatrix, blas_threads
 from oproj.ranking import (
     AuditConfig,
     FeatureResult,
@@ -620,7 +624,8 @@ class TestRankAll:
 class TestLookahead:
     """rank_all builds feature j+1's query while the models of the queries
     in flight answer, with up to ``_model_width()`` of them in flight, then
-    encodes and launches it once the oldest has settled."""
+    encodes and launches it once the oldest has settled. Its worker thread
+    builds each removal basis one feature ahead."""
 
     def test_failing_feature_flagged_and_rest_match_sequential(self, monkeypatch, rng):
         m = matrix(rng.standard_normal((50, 4)))
@@ -650,11 +655,12 @@ class TestLookahead:
         model = shlex.join([sys.executable, fixture, "stall", "x1,x2"])
         script = f"echo $$ >> {shlex.quote(str(pidfile))}; exec {model}"
         h = SubprocessModel(SubprocessSpec(("sh", "-c", script), timeout=60.0))
-        build = ranking._build_query
+        build = ranking._removal_basis
 
         def failing_third_build(prepared, current, cfg):
             if current == "x3":
-                # Let x1's and x2's models start before the build fails.
+                # On the worker: let x1's and x2's models start before the
+                # build fails.
                 deadline = time.monotonic() + 10.0
                 while len(pidfile.read_text().split()) < 3 and time.monotonic() < deadline:
                     time.sleep(0.01)
@@ -662,7 +668,7 @@ class TestLookahead:
             return build(prepared, current, cfg)
 
         monkeypatch.setattr(ranking, "_model_width", lambda: 2)
-        monkeypatch.setattr(ranking, "_build_query", failing_third_build)
+        monkeypatch.setattr(ranking, "_removal_basis", failing_third_build)
         started = time.monotonic()
         with pytest.raises(RuntimeError, match="build failed"):
             rank_all(h, matrix(rng.standard_normal((20, 3))), AuditConfig())
@@ -718,11 +724,100 @@ class TestLookahead:
         h = SubprocessModel(SubprocessSpec(command, timeout=2.0))
         build = ranking._build_query
 
-        def slow_second_build(prepared, current, cfg):
+        def slow_second_build(prepared, current, basis, cfg):
             if current == "x2":
                 time.sleep(2.5)
-            return build(prepared, current, cfg)
+            return build(prepared, current, basis, cfg)
 
         monkeypatch.setattr(ranking, "_build_query", slow_second_build)
         report = rank_all(h, matrix(rng.standard_normal((4000, 3))), AuditConfig())
         assert [e.error for e in report.entries] == [None, None, None]
+
+
+# One audit in a child interpreter, printing float.hex of its baseline and
+# of every raw delta. The model makes no BLAS call of its own.
+_HEX_AUDIT = """
+import numpy as np
+from oproj import AuditConfig, FeatureMatrix, InProcessModel, rank_all
+
+a = np.random.default_rng(7).standard_normal((12000, 6))
+w = np.arange(6, 0, -1, dtype=np.float64)
+model = InProcessModel(lambda m: (m * w).sum(axis=1) + 0.5 * m[:, 0] ** 2)
+report = rank_all(model, FeatureMatrix([f"x{j + 1}" for j in range(6)], a), AuditConfig())
+print(report.baseline.hex(), *(f"{e.name}={e.raw_delta.hex()}" for e in report.entries))
+"""
+
+
+class TestBlasThreads:
+    """rank_all runs with OpenBLAS on one thread, restores the count it
+    found, builds removal bases on a worker thread, one at a time, and
+    calls the model only on the caller's thread."""
+
+    def test_report_identical_across_blas_thread_counts(self):
+        # 12000 rows: OpenBLAS splits its dot products and basis products
+        # across threads at this size, which changed the report's bits
+        # when the audit ran on however many threads it found.
+        src = str(Path(ranking.__file__).resolve().parent.parent)
+        reports = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+            proc = subprocess.run(
+                [sys.executable, "-c", _HEX_AUDIT],
+                env=env, capture_output=True, text=True, timeout=120,
+            )  # fmt: skip
+            assert proc.returncode == 0, proc.stderr
+            reports.append(proc.stdout)
+        assert len(reports[0].split()) == 7
+        assert reports[0] == reports[1]
+
+    def test_model_runs_on_the_callers_thread(self, rng):
+        seen = []
+
+        def fn(a):
+            seen.append((threading.get_ident(), blas_threads()))
+            return a @ np.array([2.0, 1.0, 0.5, 0.25])
+
+        rank_all(InProcessModel(fn), matrix(rng.standard_normal((60, 4))), AuditConfig())
+        assert len(seen) == 5
+        assert {ident for ident, _ in seen} == {threading.get_ident()}
+        if blas_threads() is not None:
+            assert {count for _, count in seen} == {1}
+
+    def test_bases_built_off_the_callers_thread_one_at_a_time(self, monkeypatch, rng):
+        build = ranking._removal_basis
+        lock, running, seen = threading.Lock(), [0], []
+
+        def tracked_build(prepared, current, cfg):
+            with lock:
+                running[0] += 1
+                seen.append((threading.get_ident(), running[0]))
+            time.sleep(0.01)
+            try:
+                return build(prepared, current, cfg)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        monkeypatch.setattr(ranking, "_removal_basis", tracked_build)
+        m = matrix(rng.standard_normal((60, 4)))
+        h = InProcessModel(lambda a: a @ np.array([2.0, 1.0, 0.5, 0.25]))
+        report = rank_all(h, m, AuditConfig())
+        assert [e.error for e in report.entries] == [None] * 4
+        assert len(seen) == 4
+        assert threading.get_ident() not in {ident for ident, _ in seen}
+        assert {at_once for _, at_once in seen} == {1}
+
+    @needs_openblas
+    @pytest.mark.usefixtures("two_blas_threads")
+    def test_count_restored_after_the_audit_returns_or_fails(self, rng):
+        m = matrix(rng.standard_normal((60, 3)))
+        h = InProcessModel(lambda a: a @ np.array([2.0, 1.0, 0.5]))
+        rank_all(h, m, AuditConfig())
+        assert blas_threads() == 2
+        flat = matrix(np.column_stack([np.ones(60), np.full(60, 2.0)]))
+        with pytest.raises(AuditFailedError):
+            rank_all(InProcessModel(lambda a: a[:, 0]), flat, AuditConfig())
+        assert blas_threads() == 2
+        train_surrogate(m, m.data @ np.array([2.0, 1.0, 0.5]))
+        assert blas_threads() == 2
