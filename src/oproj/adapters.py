@@ -3,12 +3,14 @@
 Subprocess wire protocol: the model's stdin is a regular file holding CSV
 (header row of feature names, then one data row per sample, shortest
 round-trip decimal formatting), and the auditor expects exactly n lines on
-stdout, each a single ASCII decimal prediction. Exit status must be 0. One
+stdout, each a single ASCII decimal prediction, in at most
+REPLY_BASE_BYTES + REPLY_ROW_BYTES * n bytes. Exit status must be 0. One
 process invocation per batch; no session state is kept between calls.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import signal
 import subprocess
@@ -36,6 +38,10 @@ from .linalg import FeatureMatrix
 # its stderr, read from at most its last STDERR_TAIL_BYTES bytes.
 STDERR_TAIL_BYTES = 4096
 STDERR_QUOTE_CHARS = 500
+# A reply to an n-row query may hold at most REPLY_BASE_BYTES plus
+# REPLY_ROW_BYTES per row; a larger one is refused unread.
+REPLY_BASE_BYTES = 4096
+REPLY_ROW_BYTES = 256
 
 
 class ModelHandle(ABC):
@@ -175,8 +181,8 @@ class SubprocessModel(ModelHandle):
     stdin, and its stdout and stderr go to unnamed files too, so the model
     never waits on the auditor to drain a pipe. The model starts in a new
     session; it times out only if it is still running when its budget,
-    counted from launch, is spent, and a timeout kills the whole process
-    group.
+    counted from launch, is spent. Its whole process group is killed once
+    it has exited, before its reply is read, or once it has timed out.
     """
 
     def __init__(
@@ -212,22 +218,25 @@ class SubprocessModel(ModelHandle):
         cmd = list(self.spec.command)
         proc = running.proc
         try:
-            # poll() answers at once for a model that has already exited.
-            # Otherwise a thread blocked in proc.wait() returns as soon as the
-            # model exits, where proc.wait(timeout=...) would poll, sleeping
-            # up to 50 ms between checks.
-            if proc.poll() is None:
-                waiter = threading.Thread(target=proc.wait, daemon=True)
+            # A model that has already exited answers at once. Otherwise a
+            # thread blocked in waitid returns as soon as the model exits,
+            # where proc.wait(timeout=...) would poll, sleeping up to 50 ms
+            # between checks. Neither reaps the model.
+            if not _has_exited(proc):
+                waiter = threading.Thread(target=_wait_exit, args=(proc,), daemon=True)
                 waiter.start()
                 waiter.join(max(0.0, running.deadline - time.monotonic()))
+            exited = _has_exited(proc)
         except BaseException:
             self.abort(running)
             raise
-        if proc.returncode is None:
+        if not exited:
             self.abort(running)
             raise ModelTimeoutError(
                 f"model command {cmd} exceeded timeout of {self.spec.timeout}s"
             )
+        # Whatever the model left running in its group dies with it.
+        _kill_group_and_reap(proc)
         with running.stdout, running.stderr:
             if proc.returncode != 0:
                 # A traceback ends with its cause: quote the end of stderr.
@@ -235,22 +244,57 @@ class SubprocessModel(ModelHandle):
                 running.stderr.seek(max(0, size - STDERR_TAIL_BYTES))
                 tail = running.stderr.read().decode("utf-8", errors="replace").strip()
                 raise ModelExitError(
-                    f"model command {cmd} exited with status {proc.returncode}"
+                    f"model command {cmd} {_exit_status(proc.returncode)}"
                     + (f": {tail[-STDERR_QUOTE_CHARS:]}" if tail else "")
                 )
+            size = os.fstat(running.stdout.fileno()).st_size
+            cap = REPLY_BASE_BYTES + REPLY_ROW_BYTES * running.rows
+            if size > cap:
+                raise MalformedOutputError(
+                    f"model wrote {size} bytes for {running.rows} rows, over the "
+                    f"cap of {cap} bytes ({REPLY_BASE_BYTES} plus "
+                    f"{REPLY_ROW_BYTES} per row)"
+                )
             running.stdout.seek(0)
-            reply = running.stdout.read()
+            reply = running.stdout.read(size)
         pred = parse_prediction_lines(reply, running.rows)
         return _validated(pred, running.rows)
 
     def abort(self, running: _Running) -> None:
         """Kill the model's whole process group, then reap the model."""
-        proc = running.proc
-        if proc.returncode is None:
-            try:
-                os.killpg(proc.pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-        proc.wait()
+        _kill_group_and_reap(running.proc)
         running.stdout.close()
         running.stderr.close()
+
+
+def _has_exited(proc: subprocess.Popen) -> bool:
+    """Whether the model has exited, without reaping it."""
+    return os.waitid(os.P_PID, proc.pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is not None
+
+
+def _wait_exit(proc: subprocess.Popen) -> None:
+    """Block until the model exits, without reaping it."""
+    # The model may be reaped first, once its query is aborted.
+    with contextlib.suppress(ChildProcessError):
+        os.waitid(os.P_PID, proc.pid, os.WEXITED | os.WNOWAIT)
+
+
+def _kill_group_and_reap(proc: subprocess.Popen) -> None:
+    """SIGKILL the model's process group, then reap the model. Until it is
+    reaped, its pid, and so its group's id, cannot be reused."""
+    if proc.returncode is None:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+    proc.wait()
+
+
+def _exit_status(returncode: int) -> str:
+    """How a model that failed ended: its exit status, or the signal that
+    killed it."""
+    if returncode >= 0:
+        return f"exited with status {returncode}"
+    try:
+        name = f" ({signal.Signals(-returncode).name})"
+    except ValueError:
+        name = ""
+    return f"was killed by signal {-returncode}{name}"

@@ -287,39 +287,31 @@ def load_csv(
     for j, (h, spec) in enumerate(zip(header, specs)):
         if spec.role == "ignore":
             continue
-        if spec.role == "target":
-            if bulk is not None:
-                target = bulk[:, j].copy()
-            else:
-                target = _parse_numeric_column(raw_columns[h], h)
-            continue
-        if spec.kind == "categorical":
-            cells = []
-            for r, c in enumerate(raw_columns[h], start=1):
-                text = c.strip()
-                if not text:
-                    raise DataError(
-                        f"missing value at row {r}, column '{h}'", row=r, column=h
-                    )
-                cells.append(text)
-            for level in sorted(set(cells)):
+        if spec.role == "feature" and spec.kind == "categorical":
+            cells = [c.strip() for c in raw_columns[h]]
+            if "" in cells:
+                r = cells.index("") + 1
+                raise DataError(f"missing value at row {r}, column '{h}'", row=r, column=h)
+            levels = sorted(set(cells))
+            index = {level: i for i, level in enumerate(levels)}
+            codes = np.array([index[c] for c in cells])
+            for i, level in enumerate(levels):
                 names.append(f"{h}={level}")
-                columns.append(
-                    np.asarray([1.0 if c == level else 0.0 for c in cells], dtype=np.float64)
-                )
-        elif bulk is not None:
-            names.append(h)
-            columns.append(bulk[:, j])
+                columns.append(codes == i)
+            continue
+        values = bulk[:, j] if bulk is not None else _parse_numeric_column(raw_columns[h], h)
+        if spec.role == "target":
+            target = values.copy()
         else:
             names.append(h)
-            columns.append(_parse_numeric_column(raw_columns[h], h))
+            columns.append(values)
 
     if not columns:
         raise DataError(f"{path} contains no feature columns after applying the schema")
     # The parsed cells dominate peak memory; free them before the matrix
     # gets its one (column-major) array.
     del rows, raw_columns
-    return FeatureMatrix._adopt(names, np.array(columns).T), target
+    return FeatureMatrix._adopt(names, np.array(columns, dtype=np.float64).T), target
 
 
 # Rows encoded per write: enough to amortize the per-call overhead, few

@@ -63,7 +63,8 @@ class ModelExitError(AdapterError):
 
 
 class MalformedOutputError(AdapterError):
-    """A prediction line could not be parsed as a number."""
+    """A prediction line could not be parsed as a number, or the reply
+    was over its size cap."""
 
 
 class NonFinitePredictionError(AdapterError):

@@ -171,20 +171,14 @@ def _removal_basis(
     feature before it is projected, queried and scored.
     """
     audit = prepared.audit
-    idx = audit.index(current)
-    if np.ptp(audit.data[:, idx]) == 0.0:
-        raise DegenerateFeatureError(
-            f"feature '{current}' is constant and cannot be audited"
-        )
+    if np.ptp(audit.data[:, audit.index(current)]) == 0.0:
+        raise DegenerateFeatureError("the column is constant and cannot be audited")
     if audit.k == 1:
         return None
-    try:
-        candidates = build_removal_candidates(audit, current, cfg.transforms)
-        if candidates.k == 1:
-            return None
-        return orthonormalize(candidates)
-    except (DegenerateFeatureError, DegenerateSubspaceError) as exc:
-        raise type(exc)(f"feature '{current}': {exc}") from exc
+    candidates = build_removal_candidates(audit, current, cfg.transforms)
+    if candidates.k == 1:
+        return None
+    return orthonormalize(candidates)
 
 
 def _build_query(
@@ -217,16 +211,9 @@ def _build_query(
     return FeatureMatrix._adopt(raw.names, query)
 
 
-# What a feature's audit flags instead of aborting the run.
+# What a feature's audit flags instead of aborting the run. Its entry's
+# error is the message with the feature's name put before it.
 _AUDIT_ERRORS = (DegenerateFeatureError, DegenerateSubspaceError, AdapterError)
-
-
-def _named(exc: Exception, current: str) -> Exception:
-    """``exc`` with the feature's name on it; the degenerate-feature errors
-    already carry it."""
-    if isinstance(exc, AdapterError):
-        return type(exc)(f"feature '{current}': {exc}", row=exc.row)
-    return exc
 
 
 def _normalize_entries(
@@ -326,12 +313,11 @@ def rank_all(
             raw_delta = abs(baseline - b_new)
             if not np.isfinite(raw_delta):
                 raise DegenerateFeatureError(
-                    f"feature '{previous}': the metric overflows float64 "
-                    f"(b_new {b_new}); rescale the data"
+                    f"the metric overflows float64 (b_new {b_new}); rescale the data"
                 )
             outcomes.append(FeatureResult(previous, raw_delta, None, previous_dropped))
         except _AUDIT_ERRORS as exc:
-            errors[previous] = str(_named(exc, previous))
+            errors[previous] = f"feature '{previous}': {exc}"
         flight.popleft()
 
     def launch(name: str, basis: ProjectionBasis | None) -> None:
@@ -353,7 +339,7 @@ def rank_all(
             try:
                 launch(name, building.result())
             except _AUDIT_ERRORS as exc:
-                errors[name] = str(_named(exc, name))
+                errors[name] = f"feature '{name}': {exc}"
         while flight:
             settle_oldest()
     finally:

@@ -106,14 +106,26 @@ def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
 
 
+def _normal_equations(
+    Z: np.ndarray, y: np.ndarray, penalty: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Z'Z + diag(penalty) and Z'y; inf or nan where they overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return Z.T @ Z + np.diag(penalty), Z.T @ y
+
+
 def fit_ridge(X: FeatureMatrix | np.ndarray, y, lam: float = 1e-3) -> RidgeModel:
     """Solve the ridge normal equations by Cholesky factorization.
 
     Minimizes ||y - (b + X w)||^2 + lam * ||w||^2; the intercept b is not
     penalized. A singular system (possible only at lam = 0) raises
-    SingularSystemError suggesting a positive penalty. Normal equations or
-    a fit that overflow float64 (columns or targets beyond about 1e154)
-    raise NonFiniteFitError.
+    SingularSystemError suggesting a positive penalty. Normal equations
+    that overflow float64 (columns beyond about 1e154) are solved again
+    with each column and its penalty divided by the power of two above the
+    column's peak and by its square, which leaves the fit unchanged. A
+    penalty that this makes subnormal or zero was already under 2**-1020 of
+    its column's Gram entry. Normal equations that still overflow, or a fit
+    that does (targets beyond about 1e154), raise NonFiniteFitError.
     """
     if not 0 <= lam < np.inf:
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
@@ -130,9 +142,15 @@ def fit_ridge(X: FeatureMatrix | np.ndarray, y, lam: float = 1e-3) -> RidgeModel
     Z = np.column_stack([np.ones(n), A])
     penalty = np.full(k + 1, lam)
     penalty[0] = 0.0  # intercept unpenalized
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = Z.T @ Z + np.diag(penalty)
-        rhs = Z.T @ y
+    gram, rhs = _normal_equations(Z, y, penalty)
+    e = np.zeros(k + 1, dtype=int)
+    if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
+        # Solve for w_j * 2**e_j on column j times 2**-e_j, with 2**e_j just
+        # above its peak and the penalty times 2**-2e_j: the same fit, in
+        # units whose Gram matrix may be in range. Scaling by a power of two
+        # is exact; a fit in range is not rescaled, and keeps its bits.
+        e = np.frexp(np.max(np.abs(Z), axis=0))[1]
+        gram, rhs = _normal_equations(np.ldexp(Z, -e), y, np.ldexp(penalty, -2 * e))
     if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
         raise NonFiniteFitError(
             "ridge normal equations overflow float64; rescale the data or the target"
@@ -143,6 +161,7 @@ def fit_ridge(X: FeatureMatrix | np.ndarray, y, lam: float = 1e-3) -> RidgeModel
         raise SingularSystemError(
             "normal equations are singular; retry with lam > 0"
         ) from exc
+    w = np.ldexp(w, -e)
     with np.errstate(over="ignore", invalid="ignore"):
         fitted = Z @ w
     if not (np.isfinite(w).all() and np.isfinite(_sums_of_squares(y, fitted)).all()):

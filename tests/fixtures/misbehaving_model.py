@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Fixture model that violates the wire protocol on demand.
 
-Usage: misbehaving_model.py MODE [COLUMNS]
+Usage: misbehaving_model.py MODE [COLUMNS | DIR OUTCOME]
   short     emit n-1 prediction lines
   malformed emit a non-numeric line at row 1
   nonfinite emit NaN at row 0
@@ -14,11 +14,18 @@ Usage: misbehaving_model.py MODE [COLUMNS]
             is constant, else emit the row sums
   binary    emit the row sums, with a byte that is not UTF-8 in place of
             row 0's if a column named in COLUMNS is constant
+  flood     emit n lines whose first is padded to over 1 MB
+  orphan    start a child that sleeps for 77 s in the model's process
+            group, create DIR/<its pid>.pid, then end as OUTCOME says:
+            ok (emit the row sums), fail (exit 3) or malformed (emit a
+            non-numeric line at row 0, then the other rows' sums)
 
 COLUMNS is one column name or several joined by commas.
 """
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 
 def main():
@@ -47,6 +54,27 @@ def main():
         sys.exit(3)
     elif mode == "hang":
         time.sleep(60)
+    elif mode == "flood":
+        print("0.0" + " " * (1 << 20))
+        for _ in range(n - 1):
+            print("0.0")
+    elif mode == "orphan":
+        sleeper = subprocess.Popen(
+            [sys.executable, "-c", "import time; time.sleep(77)"],
+            stdin=subprocess.DEVNULL,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        Path(sys.argv[2], f"{sleeper.pid}.pid").touch()
+        outcome = sys.argv[3]
+        if outcome == "fail":
+            sys.exit(3)
+        rows = [[float(c) for c in row.split(",")] for row in lines[1:] if row.strip()]
+        if outcome == "malformed":
+            print("not-a-number")
+            rows = rows[1:]
+        for row in rows:
+            print(repr(sum(row)))
     elif mode in ("constant", "stall", "binary"):
         rows = [[float(c) for c in row.split(",")] for row in lines[1:] if row.strip()]
         header = lines[0].split(",")

@@ -319,6 +319,38 @@ class TestSubprocessModel:
             if not process_gone(pid, within=0.0):
                 os.kill(pid, signal.SIGKILL)
 
+    @needs_proc
+    @pytest.mark.parametrize(
+        "outcome, error",
+        [("ok", None), ("fail", ModelExitError), ("malformed", MalformedOutputError)],
+    )
+    def test_model_children_die_once_the_model_has_exited(self, tmp_path, outcome, error):
+        h = subprocess_model("misbehaving_model.py", "orphan", str(tmp_path), outcome)
+        m = matrix([[1.0, 2.0], [3.0, 4.0]])
+        if error is None:
+            np.testing.assert_array_equal(h.predict_batch(m), [3.0, 7.0])
+        else:
+            with pytest.raises(error):
+                h.predict_batch(m)
+        (pidfile,) = tmp_path.glob("*.pid")
+        pid = int(pidfile.stem)
+        try:
+            assert process_gone(pid), "the model's child outlived its reply"
+        finally:
+            if not process_gone(pid, within=0.0):
+                os.kill(pid, signal.SIGKILL)
+
+    def test_reply_over_the_cap_refused(self):
+        # Two rows may take 4096 + 2 * 256 bytes; the reply is over 1 MB.
+        h = subprocess_model("misbehaving_model.py", "flood")
+        with pytest.raises(MalformedOutputError, match="over the cap of 4608 bytes"):
+            h.predict_batch(matrix([[1.0], [2.0]]))
+
+    def test_model_killed_by_a_signal_names_it(self):
+        h = SubprocessModel(SubprocessSpec(("sh", "-c", "kill -9 $$")))
+        with pytest.raises(ModelExitError, match=r"was killed by signal 9 \(SIGKILL\)$"):
+            h.predict_batch(matrix([[1.0], [2.0]]))
+
     def test_missing_executable(self):
         m = matrix([[1.0], [2.0]])
         h = SubprocessModel(SubprocessSpec(("/no/such/model-binary",)))

@@ -3,6 +3,7 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import oproj.ranking as ranking
-from conftest import fixture_command
+from conftest import fixture_command, needs_proc, process_gone
 from oproj.cli import main, parse_replacement, parse_target, parse_transforms, resolve_seed
 from oproj.transforms import TransformSet
 
@@ -46,6 +47,28 @@ def run_cli(argv, *, cpu=None, **env):
     return subprocess.run(
         [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=300
     )
+
+
+def big_column_audit(tmp_path, target_scale):
+    """Exit code of a ridge-surrogate audit on a column near 1e155,
+    whose normal equations overflow float64 until rescaled."""
+    rng = np.random.default_rng(0)
+    data = rng.standard_normal((80, 3))
+    lines = ["a,big,target"] + [
+        f"{a!r},{b * 1e154 + 1e155!r},{(a + 2 * t + 4) * target_scale!r}"
+        for a, b, t in data.tolist()
+    ]
+    csv = tmp_path / "big.csv"
+    csv.write_text("\n".join(lines) + "\n")
+    return main(
+        [
+            "audit",
+            "--data", str(csv),
+            "--surrogate", "ridge",
+            "--target", "column:target",
+            "--out", str(tmp_path / "out"),
+        ]
+    )  # fmt: skip
 
 
 def report_text(out):
@@ -196,6 +219,26 @@ class TestAudit:
         assert [e["name"] for e in doc["entries"]] == ["x1", "x2", "x3", "x4"]
         assert doc["config"]["seed"] == 7
         assert doc["config"]["target"] == "column:target"
+
+    @needs_proc
+    def test_no_model_child_outlives_the_audit(self, tmp_path):
+        # Each of the k+1 queries' models leaves a sleeping child behind.
+        data = synth(tmp_path, "n=200\ncoefficients=3,2,1\nseed=7\n")
+        pids = tmp_path / "pids"
+        pids.mkdir()
+        model = f"{fixture_command('misbehaving_model.py')} orphan {pids} ok"
+        out = tmp_path / "out"
+        code = main(["audit", "--data", str(data), "--model", model, "--target", "column:target",
+                     "--out", str(out)])  # fmt: skip
+        assert code == 0
+        sleepers = [int(p.stem) for p in pids.glob("*.pid")]
+        assert len(sleepers) == 4
+        try:
+            assert all(process_gone(pid) for pid in sleepers)
+        finally:
+            for pid in sleepers:
+                if not process_gone(pid, within=0.0):
+                    os.kill(pid, signal.SIGKILL)
 
     @pytest.mark.skipif(
         not hasattr(os, "sched_setaffinity"), reason="pins the audit to one CPU"
@@ -467,27 +510,15 @@ class TestAudit:
         assert doc["config"]["model"] == "surrogate:ridge"
         assert doc["entries"][0]["name"] == "x1"
 
+    def test_ridge_surrogate_audits_a_column_beyond_1e154(self, tmp_path):
+        assert big_column_audit(tmp_path, 1.0) == 0
+        assert (tmp_path / "out" / "report.json").exists()
+
     def test_overflowing_ridge_surrogate_exit_1_without_report(self, tmp_path, capsys):
-        rng = np.random.default_rng(0)
-        data = rng.standard_normal((80, 3))
-        lines = ["a,big,target"] + [
-            f"{a!r},{b * 1e154 + 1e155!r},{a + 2 * t!r}" for a, b, t in data.tolist()
-        ]
-        csv = tmp_path / "big.csv"
-        csv.write_text("\n".join(lines) + "\n")
-        out = tmp_path / "out"
-        code = main(
-            [
-                "audit",
-                "--data", str(csv),
-                "--surrogate", "ridge",
-                "--target", "column:target",
-                "--out", str(out),
-            ]
-        )  # fmt: skip
-        assert code == 1
+        # A target near 1e308 overflows the rescaled normal equations too.
+        assert big_column_audit(tmp_path, 1e307) == 1
         assert "ridge normal equations overflow float64" in capsys.readouterr().err
-        assert not out.exists()
+        assert not (tmp_path / "out").exists()
 
     def test_ridge_surrogate_fidelity_beyond_float64_squares(self, tmp_path):
         # One holdout row's recorded target is 1e200, so the fidelity's sums

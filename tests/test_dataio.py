@@ -1,4 +1,5 @@
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -52,6 +53,16 @@ class TestLoadCsv:
         m = X.data[:, X.index("g=M")]
         np.testing.assert_array_equal(f + m, [1, 1, 1])
         np.testing.assert_array_equal(f, [1, 0, 1])
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="csv reads NUL from 3.11 on")
+    def test_one_hot_levels_differing_in_a_trailing_nul_stay_apart(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("g,v\na\x00,1\na,2\na\x00,3\n")
+        schema = DatasetSchema({"g": ColumnSpec(kind="categorical")})
+        X, _ = load_csv(p, schema)
+        assert X.names == ("g=a", "g=a\x00", "v")
+        np.testing.assert_array_equal(X.data[:, 0], [0, 1, 0])
+        np.testing.assert_array_equal(X.data[:, 1], [1, 0, 1])
 
     def test_one_hot_levels_lexicographic(self, tmp_path):
         p = tmp_path / "d.csv"

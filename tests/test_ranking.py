@@ -515,6 +515,32 @@ class TestRankAll:
         assert "overflows" in x1.error
         assert report.entry("x2").normalized == 0.0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "case", ["constant", "overflowing companion", "overflowing metric", "failing model"]
+    )
+    def test_flagged_error_starts_with_the_feature_name(self, rng, case):
+        # x2 is flagged, each time at a different step of its audit.
+        data = rng.standard_normal((40, 3))
+        cfg, y = AuditConfig(), None
+        model = InProcessModel(lambda a: a @ np.array([2.0, 1.0, 0.5]))
+        if case == "constant":
+            data[:, 1] = 5.0
+        elif case == "overflowing companion":
+            data[:, 1] *= 1e120  # its cube overflows float64
+            cfg = AuditConfig(standardize=False)
+        elif case == "overflowing metric":
+            y = np.zeros(40)
+            model = InProcessModel(
+                lambda a: np.full(40, 1e160) if np.ptp(a[:, 1]) == 0.0 else a[:, 0]
+            )
+        else:
+            command = (*fixture_command("misbehaving_model.py").split(), "constant", "x2")
+            model = SubprocessModel(SubprocessSpec(command))
+        report = rank_all(model, matrix(data), cfg, y=y)
+        assert report.entry("x2").error.startswith("feature 'x2': ")
+        assert [e.name for e in report.entries if e.error is not None] == ["x2"]
+
     def test_overflowing_baseline_fails_the_audit(self, rng):
         m = matrix(rng.standard_normal((20, 2)))
         h = InProcessModel(lambda a: a[:, 0])

@@ -114,7 +114,9 @@ class TestFitRidge:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "column, target, message",
-        [(1e155, 1.0, "normal equations overflow"), (1.0, 1e200, "fit is not finite")],
+        # A column at 1e155 is fitted on rescaled columns; a target at 1e307
+        # overflows the right-hand side even then.
+        [(1e155, 1e307, "normal equations overflow"), (1.0, 1e200, "fit is not finite")],
     )
     def test_overflowing_fit_raises_by_name(self, rng, column, target, message):
         data = rng.standard_normal((80, 3))
@@ -122,6 +124,21 @@ class TestFitRidge:
         y = (data[:, 0] + 2.0 * data[:, 2]) * target
         with pytest.raises(NonFiniteFitError, match=message):
             fit_ridge(matrix(data), y)
+
+    @pytest.mark.filterwarnings("error")
+    def test_columns_whose_gram_overflows_fit_as_rescaled(self, rng):
+        # At lam = 0 the fit does not depend on a column's scale. Columns at
+        # 2**510 overflow the Gram matrix; the fit is retried on columns
+        # scaled into range, and its coefficients scaled back.
+        X = rng.standard_normal((200, 4))
+        y = X @ np.array([1.0, -2.0, 0.5, 3.0]) + 0.1 * rng.standard_normal(200)
+        base = fit_ridge(matrix(X), y, lam=0.0)
+        big = fit_ridge(matrix(np.ldexp(X, 510)), y, lam=0.0)
+        np.testing.assert_allclose(
+            big.coefficients, np.ldexp(base.coefficients, -510), rtol=1e-12
+        )
+        assert big.intercept == pytest.approx(base.intercept, rel=1e-12)
+        assert big.fit_r2 == pytest.approx(base.fit_r2, rel=1e-12)
 
     def test_underdetermined_warns(self, rng):
         X = rng.standard_normal((3, 5))
