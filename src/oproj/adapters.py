@@ -26,6 +26,7 @@ import numpy as np
 from .dataio import format_matrix_csv
 from .errors import (
     AdapterError,
+    DimensionError,
     MalformedOutputError,
     ModelExitError,
     ModelTimeoutError,
@@ -48,32 +49,47 @@ class ModelHandle(ABC):
     """A queryable black box: n rows in, n finite predictions out.
 
     A query runs in two steps, so that a caller can build its next query
-    while the model answers this one: ``launch`` checks the column names,
-    encodes the query and starts the model on it, and ``collect`` waits
-    for the reply and validates it. ``abort`` stops a launched query whose
-    reply is no longer wanted. Several launched queries may be in flight
-    at once, each collected or aborted once; ``rank_all`` keeps up to two.
+    while the model answers this one: ``launch`` checks the query, encodes
+    it and starts the model on it, and ``collect`` waits for the reply and
+    validates it. ``abort`` stops a launched query whose reply is no longer
+    wanted. Several launched queries may be in flight at once, each
+    collected or aborted once; ``rank_all`` keeps up to two.
+
+    A query is its column names and a fresh, writable, C-order float64
+    n x len(names) array of rows, which the handle owns from ``launch``
+    on, so a model may read it in place and write to it.
     """
 
     feature_names: tuple[str, ...] | None = None
 
     def predict_batch(self, X: FeatureMatrix) -> np.ndarray:
-        """Query the model once and validate the reply."""
-        return self.collect(self.launch(X))
+        """Query the model once on a row-major copy of ``X`` and validate
+        the reply."""
+        return self.collect(self.launch(X.names, X.as_array()))
 
-    def launch(self, X: FeatureMatrix):
-        """Check the column names and start the model on ``X``; returns
-        what ``collect`` and ``abort`` take."""
-        if self.feature_names is not None and X.names != self.feature_names:
+    def launch(self, names: Sequence[str], rows: np.ndarray):
+        """Check the column names and the layout of ``rows``, then start
+        the model on them; returns what ``collect`` and ``abort`` take."""
+        names = tuple(names)
+        if self.feature_names is not None and names != self.feature_names:
             raise AdapterError(
-                f"model expects columns {list(self.feature_names)}, "
-                f"got {list(X.names)}"
+                f"model expects columns {list(self.feature_names)}, got {list(names)}"
             )
-        return self._start(X)
+        if not (
+            rows.shape[1:] == (len(names),)
+            and rows.dtype == np.float64
+            and rows.flags.c_contiguous
+            and rows.flags.writeable
+        ):
+            raise DimensionError(
+                f"rows must be a writable C-order float64 n x {len(names)} array, "
+                f"got {rows.dtype} {rows.shape}"
+            )
+        return self._start(names, rows)
 
     @abstractmethod
-    def _start(self, X: FeatureMatrix):
-        """Encode ``X`` and start the model on it."""
+    def _start(self, names: tuple[str, ...], rows: np.ndarray):
+        """Encode the query and start the model on it."""
 
     @abstractmethod
     def collect(self, running) -> np.ndarray:
@@ -100,8 +116,9 @@ def _validated(pred, n: int) -> np.ndarray:
 class InProcessModel(ModelHandle):
     """Wraps a plain callable mapping an n x k float array to n predictions.
 
-    The callable receives a fresh, writable copy of the query matrix. It
-    answers on the caller's thread, in ``launch``.
+    The callable receives the query's rows themselves, without a copy: a
+    fresh, writable, C-order array that no other query shares. It answers
+    on the caller's thread, in ``launch``.
     """
 
     def __init__(
@@ -113,8 +130,8 @@ class InProcessModel(ModelHandle):
         self.fn = fn
         self.feature_names = tuple(feature_names) if feature_names is not None else None
 
-    def _start(self, X: FeatureMatrix) -> tuple[np.ndarray, int]:
-        return self.fn(X.as_array()), X.n
+    def _start(self, names: tuple[str, ...], rows: np.ndarray) -> tuple[np.ndarray, int]:
+        return self.fn(rows), rows.shape[0]
 
     def collect(self, running: tuple[np.ndarray, int]) -> np.ndarray:
         return _validated(*running)
@@ -194,10 +211,10 @@ class SubprocessModel(ModelHandle):
         self.spec = spec
         self.feature_names = tuple(feature_names) if feature_names is not None else None
 
-    def _start(self, X: FeatureMatrix) -> _Running:
+    def _start(self, names: tuple[str, ...], rows: np.ndarray) -> _Running:
         cmd = list(self.spec.command)
         with tempfile.TemporaryFile() as payload:
-            format_matrix_csv(X.names, X.data, payload)
+            format_matrix_csv(names, rows, payload)
             payload.seek(0)
             stdout, stderr = tempfile.TemporaryFile(), tempfile.TemporaryFile()
             try:
@@ -212,7 +229,8 @@ class SubprocessModel(ModelHandle):
                 stdout.close()
                 stderr.close()
                 raise AdapterError(f"cannot run model command {cmd}: {exc}") from exc
-        return _Running(proc, stdout, stderr, time.monotonic() + self.spec.timeout, X.n)
+        deadline = time.monotonic() + self.spec.timeout
+        return _Running(proc, stdout, stderr, deadline, rows.shape[0])
 
     def collect(self, running: _Running) -> np.ndarray:
         cmd = list(self.spec.command)

@@ -182,12 +182,13 @@ def _parse_number_blocks(path: Path, header_lines: int, width: int) -> np.ndarra
     n = 0
     with path.open("rb") as fh:
         head = b"".join(fh.readline() for _ in range(header_lines))
-        if head.count(b"\r") != head.count(b"\r\n"):
+        if b"\r" in head and head.count(b"\r") != head.count(b"\r\n"):
             return None
         while lines := fh.readlines(_BLOCK_BYTES):
             block = b"".join(lines)
+            # The in test spares the two counts on a block with no CR.
             if block.translate(None, _NUMBER_BYTES) or (
-                block.count(b"\r") != block.count(b"\r\n")
+                b"\r" in block and block.count(b"\r") != block.count(b"\r\n")
             ):
                 return None
             if block.endswith(b"\n"):

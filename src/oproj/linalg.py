@@ -1,9 +1,10 @@
 """Dense column arithmetic and orthogonal projection.
 
 All arithmetic is float64, and inputs are never mutated. The two
-transformations write every column into an n x k buffer that the caller
-hands them: the audit query in the making. The audited column's cells are
-finite placeholders, and the caller overwrites that column.
+transformations write every column into a row-major n x k array that the
+caller hands them, a block of rows at a time, and map each block back to
+native scale while it is in cache. The audited column's cells are finite
+placeholders, and the caller overwrites that column.
 """
 
 from __future__ import annotations
@@ -30,9 +31,11 @@ DROP_TOL = 1e-10
 
 _TINY = float(np.finfo(np.float64).tiny)
 
-# Rows of B @ (B^T D) formed at a time in transform_against_feature, so its
-# scratch is ROW_BLOCK x k rather than n x k.
-ROW_BLOCK = 4096
+# Rows of a query the transformations write at a time, so their scratch is
+# ROW_BLOCK x k rather than n x k, and each block is mapped back to native
+# scale while it is still in cache. Not a power of two, so that the columns
+# of a column-major block do not all fall in one set of the CPU's caches.
+ROW_BLOCK = 1000
 
 # (set, get) names of OpenBLAS's thread-count functions: numpy's wheel
 # ships scipy-openblas, others link a plain OpenBLAS, LP64 or ILP64.
@@ -121,8 +124,8 @@ class FeatureMatrix:
     ``FeatureMatrix(names, data)`` copies an n x k array whose columns line
     up with ``names`` and checks that every value is finite. ``load_csv``
     checks its cells as it parses them. Matrices the package derives from
-    these (standardized data, removal candidates, audit queries) wrap their
-    fresh arrays without a copy or a second check.
+    these (standardized data, removal candidates) wrap their fresh arrays
+    without a copy or a second check.
     """
 
     __slots__ = ("names", "data")
@@ -297,17 +300,39 @@ def _audited_index(X: FeatureMatrix, current: str, out: np.ndarray) -> int:
     idx = X.index(current)
     if X.k == 1:
         raise DimensionError("cannot transform a single-column matrix; nothing remains")
-    if out.shape != X.data.shape or not out.flags.f_contiguous:
-        raise DimensionError(f"out must be a Fortran-order {X.n} x {X.k} array")
+    if out.shape != X.data.shape or not out.flags.c_contiguous:
+        raise DimensionError(f"out must be a C-order {X.n} x {X.k} array")
     return idx
 
 
+def _row_blocks(n: int) -> list[slice]:
+    """Slices of at most ROW_BLOCK rows that split range(n) evenly. None
+    has one row when n > 1: numpy computes a one-row product as a
+    matrix-vector product, which rounds unlike the matrix product."""
+    count = -(-n // ROW_BLOCK)
+    edges = [n * i // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def _map_back(block: np.ndarray, scale: np.ndarray | None, offset: np.ndarray | None) -> None:
+    """``block * scale + offset`` in place; nothing when ``scale`` is None."""
+    if scale is not None:
+        block *= scale
+        block += offset
+
+
 def transform_against_feature(
-    X: FeatureMatrix, current: str, basis: ProjectionBasis, out: np.ndarray
+    X: FeatureMatrix,
+    current: str,
+    basis: ProjectionBasis,
+    out: np.ndarray,
+    scale: np.ndarray | None = None,
+    offset: np.ndarray | None = None,
 ) -> None:
     """Project every column of X onto the orthogonal complement of
-    span(basis), into the same column of ``out``, a Fortran-order n x k
-    array. Column ``current`` gets its own projection, which the caller
+    span(basis), into the same column of ``out``, a C-order n x k array,
+    then map it back as ``out * scale + offset`` when ``scale`` is given.
+    Column ``current`` gets its own projection, which the caller
     overwrites.
     """
     _audited_index(X, current, out)
@@ -316,31 +341,38 @@ def transform_against_feature(
     B = basis.array
     # Two passes: the second removes the components reintroduced by
     # rounding, keeping residuals orthogonal relative to their own
-    # (possibly tiny) norms. Each writes src - B (B^T src) into out, a
-    # block of rows at a time; the first reads X itself.
-    scratch = np.empty((min(ROW_BLOCK, X.n), X.k), order="F")
+    # (possibly tiny) norms. Each forms B^T src in one product, whose bits
+    # a split by columns would change, then writes src - B (B^T src) into
+    # out a block of rows at a time; the first reads X itself.
+    scratch = np.empty((min(ROW_BLOCK, X.n), X.k))
     src = X.data
-    for _ in range(2):
+    for last in (False, True):
         coef = B.T @ src
-        for start in range(0, X.n, ROW_BLOCK):
-            rows = slice(start, start + ROW_BLOCK)
+        for rows in _row_blocks(X.n):
             block = B[rows]
             part = np.matmul(block, coef, out=scratch[: block.shape[0]])
-            np.subtract(src[rows], part, out=out[rows])
+            written = np.subtract(src[rows], part, out=out[rows])
+            if last:
+                _map_back(written, scale, offset)
         src = out
 
 
-def transform_against_vector(X: FeatureMatrix, current: str, out: np.ndarray) -> None:
-    """Single-vector removal: apply project_out(col, u) to every column but
-    ``current``, with u the column ``current`` itself, writing into ``out``
-    as transform_against_feature does; column ``current`` gets a copy of
-    u, which the caller overwrites. This is the linear-only
+def transform_against_vector(
+    X: FeatureMatrix,
+    current: str,
+    out: np.ndarray,
+    scale: np.ndarray | None = None,
+    offset: np.ndarray | None = None,
+) -> None:
+    """Single-vector removal: project_out(col, u) for every column but
+    ``current``, with u the column ``current`` itself, written and mapped
+    back as transform_against_feature does; column ``current`` gets a copy
+    of u, which the caller overwrites. This is the linear-only
     transformation; the basis route reduces to it when no nonlinear
     companions are enabled.
     """
     idx = _audited_index(X, current, out)
     u = X.data[:, idx]
-    out[:, idx] = u
     with np.errstate(over="ignore"):
         uu = float(np.dot(u, u))
     if not _TINY <= uu < np.inf:
@@ -352,6 +384,19 @@ def transform_against_vector(X: FeatureMatrix, current: str, out: np.ndarray) ->
             raise DegenerateFeatureError(f"cannot project against '{current}': it is all zero")
         u = np.ldexp(u, -int(np.frexp(top)[1]))
         uu = float(np.dot(u, u))
-    for j in range(X.k):
-        if j != idx:
-            project_out(X.data[:, j], u, uu, out=out[:, j])
+    # project_out's coefficients, one np.dot per contiguous column: u @ X
+    # would round differently. Column current's is 0, which leaves u.
+    coef = np.array(
+        [0.0 if j == idx else float(np.dot(u, X.data[:, j])) / uu for j in range(X.k)]
+    )
+    # Each block is formed column-major, where every step runs along
+    # contiguous columns as X's do, then copied into out: subtracting X's
+    # columns straight into out's rows took twice as long.
+    scratch = np.empty((min(ROW_BLOCK, X.n), X.k), order="F")
+    for rows in _row_blocks(X.n):
+        block = out[rows]
+        # Each product u_i * coef_j is rounded once, as project_out's is.
+        part = np.multiply(u[rows, None], coef, out=scratch[: block.shape[0]])
+        np.subtract(X.data[rows], part, out=part)
+        _map_back(part, scale, offset)
+        block[...] = part

@@ -183,8 +183,9 @@ def _removal_basis(
 
 def _build_query(
     prepared: _Prepared, current: str, basis: ProjectionBasis | None, cfg: AuditConfig
-) -> FeatureMatrix:
-    """The query that removes ``current``, given its removal basis.
+) -> np.ndarray:
+    """The query that removes ``current``, given its removal basis: a fresh
+    row-major n x k array, in the layout the model reads.
 
     The other columns are projected off the removal subspace and mapped
     back to the model's native scale; the audited column becomes a
@@ -193,22 +194,19 @@ def _build_query(
     """
     audit, raw = prepared.audit, prepared.raw
     idx = audit.index(current)
-    query = np.empty((raw.n, raw.k), order="F")
+    query = np.empty((raw.n, raw.k))
     if raw.k > 1:
         if basis is None:
             # Pure linear removal: identical arithmetic to projecting
             # against the raw vector, so transform-free runs reduce
             # exactly to the single-vector algorithm.
-            transform_against_vector(audit, current, query)
+            transform_against_vector(audit, current, query, prepared.scale, prepared.offset)
         else:
-            transform_against_feature(audit, current, basis, query)
-        if prepared.scale is not None:
-            # z * scale + offset on every element; the audited column is
-            # overwritten below.
-            query *= prepared.scale
-            query += prepared.offset
+            transform_against_feature(
+                audit, current, basis, query, prepared.scale, prepared.offset
+            )
     query[:, idx] = _replacement_value(raw.data[:, idx], cfg)
-    return FeatureMatrix._adopt(raw.names, query)
+    return query
 
 
 # What a feature's audit flags instead of aborting the run. Its entry's
@@ -327,7 +325,7 @@ def rank_all(
         if len(flight) == width:
             settle_oldest()
         dropped = 0 if basis is None else basis.dropped_count
-        flight.append((name, dropped, model.launch(query)))
+        flight.append((name, dropped, model.launch(X.names, query)))
 
     worker = ThreadPoolExecutor(max_workers=1)
     try:

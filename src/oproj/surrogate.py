@@ -23,6 +23,8 @@ GRADIENT_TOL = 1e-6
 MAX_ITER = 100
 # Share of the rows held out from fitting to score the stand-in's fidelity.
 HOLDOUT_FRACTION = 0.2
+# A column whose peak is below this has only subnormal squares.
+_SUBNORMAL_SQUARES = 2.0**-511
 
 
 def _design(X: FeatureMatrix | np.ndarray) -> np.ndarray:
@@ -106,6 +108,10 @@ def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
 
 
+def _finite(*arrays: np.ndarray) -> bool:
+    return all(np.isfinite(a).all() for a in arrays)
+
+
 def _normal_equations(
     Z: np.ndarray, y: np.ndarray, penalty: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -120,11 +126,13 @@ def fit_ridge(X: FeatureMatrix | np.ndarray, y, lam: float = 1e-3) -> RidgeModel
     Minimizes ||y - (b + X w)||^2 + lam * ||w||^2; the intercept b is not
     penalized. A singular system (possible only at lam = 0) raises
     SingularSystemError suggesting a positive penalty. Normal equations
-    that overflow float64 (columns beyond about 1e154) are solved again
-    with each column and its penalty divided by the power of two above the
-    column's peak and by its square, which leaves the fit unchanged. A
-    penalty that this makes subnormal or zero was already under 2**-1020 of
-    its column's Gram entry. Normal equations that still overflow, or a fit
+    that overflow float64 (columns beyond about 1e154), or that hold a
+    column whose squares are all subnormal (peak below 2**-511), are solved
+    again with each column and its penalty divided by the power of two
+    above the column's peak and by its square, which leaves the fit
+    unchanged. A penalty that this makes subnormal or zero was already
+    under 2**-1020 of its column's Gram entry; where it overflows instead,
+    the unscaled fit stands. Normal equations that still overflow, or a fit
     that does (targets beyond about 1e154), raise NonFiniteFitError.
     """
     if not 0 <= lam < np.inf:
@@ -144,14 +152,21 @@ def fit_ridge(X: FeatureMatrix | np.ndarray, y, lam: float = 1e-3) -> RidgeModel
     penalty[0] = 0.0  # intercept unpenalized
     gram, rhs = _normal_equations(Z, y, penalty)
     e = np.zeros(k + 1, dtype=int)
-    if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
+    peak = np.max(np.abs(Z), axis=0)
+    if not _finite(gram, rhs) or ((0.0 < peak) & (peak < _SUBNORMAL_SQUARES)).any():
         # Solve for w_j * 2**e_j on column j times 2**-e_j, with 2**e_j just
         # above its peak and the penalty times 2**-2e_j: the same fit, in
         # units whose Gram matrix may be in range. Scaling by a power of two
         # is exact; a fit in range is not rescaled, and keeps its bits.
-        e = np.frexp(np.max(np.abs(Z), axis=0))[1]
-        gram, rhs = _normal_equations(np.ldexp(Z, -e), y, np.ldexp(penalty, -2 * e))
-    if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
+        e_scaled = np.frexp(peak)[1]
+        with np.errstate(over="ignore"):
+            scaled_penalty = np.ldexp(penalty, -2 * e_scaled)
+        scaled = _normal_equations(np.ldexp(Z, -e_scaled), y, scaled_penalty)
+        # A penalty that overflows so scaled dwarfs its tiny column's Gram
+        # entries, which then cost the unscaled fit no digits.
+        if _finite(*scaled) or not _finite(gram, rhs):
+            (gram, rhs), e = scaled, e_scaled
+    if not _finite(gram, rhs):
         raise NonFiniteFitError(
             "ridge normal equations overflow float64; rescale the data or the target"
         )

@@ -69,7 +69,7 @@ def test_criterion_1_orthogonality_suite():
         for j, name in enumerate(m.names):
             basis = orthonormalize(build_removal_candidates(m, name, ts))
             basis_arr = basis.array
-            out = np.empty((200, 8), order="F")
+            out = np.empty((200, 8))
             transform_against_feature(m, name, basis, out)
             out_arr = np.delete(out, j, axis=1)  # column j is the caller's
             dots = np.abs(out_arr.T @ basis_arr)

@@ -20,6 +20,7 @@ from oproj.adapters import (
 )
 from oproj.errors import (
     AdapterError,
+    DimensionError,
     MalformedOutputError,
     ModelExitError,
     ModelTimeoutError,
@@ -70,6 +71,46 @@ class TestInProcessModel:
         with pytest.raises(NonFinitePredictionError) as info:
             InProcessModel(fn).predict_batch(m)
         assert info.value.row == 1
+
+    def test_callable_may_overwrite_its_input(self, rng):
+        m = matrix(rng.standard_normal((300, 4)))
+        w = np.array([3.0, -1.0, 0.5, 2.0])
+
+        def scribbler(a):
+            pred = a @ w
+            a[:] = 0.0
+            return pred
+
+        clean = rank_all(InProcessModel(lambda a: a @ w), m, AuditConfig())
+        scribbled = rank_all(InProcessModel(scribbler), m, AuditConfig())
+        assert scribbled.baseline == clean.baseline
+        assert scribbled.entries == clean.entries
+
+    def test_callable_gets_a_fresh_row_major_array_per_query(self, rng):
+        m = matrix(rng.standard_normal((300, 4)))
+        seen = []
+
+        def fn(a):
+            seen.append(a)
+            return a[:, 0].copy()
+
+        rank_all(InProcessModel(fn), m, AuditConfig())
+        assert len(seen) == m.k + 1
+        for i, a in enumerate(seen):
+            assert a.shape == (m.n, m.k) and a.dtype == np.float64
+            assert a.flags.c_contiguous and a.flags.writeable
+            assert not np.shares_memory(a, m.data)
+            assert not any(np.shares_memory(a, b) for b in seen[:i])
+
+    @pytest.mark.parametrize(
+        "rows",
+        [np.zeros((3, 2), order="F"), np.zeros((3, 3)), np.zeros((3, 2), dtype=np.float32)],
+        ids=["column-major", "wrong-width", "float32"],
+    )
+    def test_launch_refuses_rows_of_another_layout(self, rows):
+        h = InProcessModel(lambda a: a[:, 0])
+        with pytest.raises(DimensionError, match="writable C-order float64 n x 2"):
+            h.launch(("a", "b"), rows)
 
 
 # Every spelling the encoder must match: any float (subnormals, +-0.0, nan,

@@ -140,6 +140,33 @@ class TestFitRidge:
         assert big.intercept == pytest.approx(base.intercept, rel=1e-12)
         assert big.fit_r2 == pytest.approx(base.fit_r2, rel=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("exponent", [-530, -560])
+    def test_columns_whose_squares_are_subnormal_fit_as_rescaled(self, exponent):
+        # Below 2**-511 a column's squares are subnormal: the Gram matrix
+        # loses digits at 2**-530 and is singular at 2**-560, though the
+        # design has full rank. The fit is taken on columns scaled into range.
+        rng = np.random.default_rng(12345)
+        X = rng.standard_normal((200, 4))
+        y = X @ np.array([1.0, -2.0, 0.5, 3.0]) + 0.1 * rng.standard_normal(200)
+        base = fit_ridge(matrix(X), y, lam=0.0)
+        tiny = fit_ridge(matrix(np.ldexp(X, exponent)), y, lam=0.0)
+        np.testing.assert_allclose(
+            tiny.coefficients, np.ldexp(base.coefficients, -exponent), rtol=1e-12
+        )
+        assert tiny.intercept == pytest.approx(base.intercept, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_penalty_dwarfing_subnormal_squares_keeps_the_unscaled_fit(self, rng):
+        # Scaled to a 2**-560 column's units, lam = 1e-3 overflows. It
+        # dwarfs the column's Gram entries, so w is X_c'y_c / lam to
+        # rounding, with X_c and y_c centred.
+        X = rng.standard_normal((200, 4))
+        y = X @ np.array([1.0, -2.0, 0.5, 3.0])
+        fit = fit_ridge(matrix(np.ldexp(X, -560)), y, lam=1e-3)
+        expected = np.ldexp((X - X.mean(axis=0)).T @ (y - y.mean()), -560) / 1e-3
+        np.testing.assert_allclose(fit.coefficients, expected, rtol=1e-12)
+
     def test_underdetermined_warns(self, rng):
         X = rng.standard_normal((3, 5))
         with pytest.warns(UserWarning, match="unstable"):
