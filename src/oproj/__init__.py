@@ -36,7 +36,6 @@ from .linalg import (
     FeatureMatrix,
     ProjectionBasis,
     orthonormalize,
-    project_out,
     transform_against_feature,
     transform_against_vector,
 )

@@ -118,7 +118,9 @@ class InProcessModel(ModelHandle):
 
     The callable receives the query's rows themselves, without a copy: a
     fresh, writable, C-order array that no other query shares. It answers
-    on the caller's thread, in ``launch``.
+    on the caller's thread, in ``launch``, with no time budget. An
+    ``Exception`` it raises comes back as an AdapterError caused by it, so
+    the audit flags that query's feature as it does a failed subprocess.
     """
 
     def __init__(
@@ -131,7 +133,12 @@ class InProcessModel(ModelHandle):
         self.feature_names = tuple(feature_names) if feature_names is not None else None
 
     def _start(self, names: tuple[str, ...], rows: np.ndarray) -> tuple[np.ndarray, int]:
-        return self.fn(rows), rows.shape[0]
+        try:
+            return self.fn(rows), rows.shape[0]
+        except AdapterError:
+            raise
+        except Exception as exc:
+            raise AdapterError(f"model callable raised {type(exc).__name__}: {exc}") from exc
 
     def collect(self, running: tuple[np.ndarray, int]) -> np.ndarray:
         return _validated(*running)

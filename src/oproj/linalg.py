@@ -232,23 +232,6 @@ class ProjectionBasis:
         return self.array.T
 
 
-def project_out(
-    v: np.ndarray, u: np.ndarray, uu: float | None = None, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Component of ``v`` orthogonal to ``u``: v - (u.v / u.u) u.
-
-    ``uu`` is ``float(np.dot(u, u))``, for a caller that projects many
-    columns against one ``u``. ``u.u`` must be a positive normal float;
-    transform_against_vector rescales ``u`` to make it one. The result is
-    written into ``out`` when one is given; it must not overlap ``v``.
-    """
-    if uu is None:
-        uu = float(np.dot(u, u))
-    coef = float(np.dot(u, v)) / uu
-    scaled = np.multiply(u, coef, out=out)
-    return np.subtract(v, scaled, out=scaled)
-
-
 def orthonormalize(candidates: FeatureMatrix) -> ProjectionBasis:
     """Modified Gram-Schmidt over the columns of ``candidates``, in order,
     with one re-orthogonalization pass per vector.
@@ -314,11 +297,35 @@ def _row_blocks(n: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def _map_back(block: np.ndarray, scale: np.ndarray | None, offset: np.ndarray | None) -> None:
-    """``block * scale + offset`` in place; nothing when ``scale`` is None."""
-    if scale is not None:
-        block *= scale
-        block += offset
+def _subtract_blocks(
+    src: np.ndarray,
+    factor: np.ndarray,
+    coef: np.ndarray,
+    out: np.ndarray,
+    scale: np.ndarray | None = None,
+    offset: np.ndarray | None = None,
+) -> None:
+    """Write ``src - factor @ coef`` into ``out``, a C-order n x k array, a
+    block of rows at a time, mapping each block back as
+    ``block * scale + offset`` when ``scale`` is given.
+
+    Each block is formed in a scratch of ``src``'s layout, where every step
+    runs along the lines ``src`` stores contiguously, then copied into
+    ``out``: subtracting column-major rows straight into row-major ones took
+    twice as long. A one-column ``factor`` is multiplied elementwise, so each
+    product factor_i * coef_j is rounded once; np.matmul rounds it the same
+    way but took longer.
+    """
+    n, k = out.shape
+    scratch = np.empty((min(ROW_BLOCK, n), k), order="F" if src.flags.f_contiguous else "C")
+    product = np.multiply if factor.shape[1] == 1 else np.matmul
+    for rows in _row_blocks(n):
+        part = product(factor[rows], coef, out=scratch[: rows.stop - rows.start])
+        np.subtract(src[rows], part, out=part)
+        if scale is not None:
+            part *= scale
+            part += offset
+        out[rows] = part
 
 
 def transform_against_feature(
@@ -342,19 +349,9 @@ def transform_against_feature(
     # Two passes: the second removes the components reintroduced by
     # rounding, keeping residuals orthogonal relative to their own
     # (possibly tiny) norms. Each forms B^T src in one product, whose bits
-    # a split by columns would change, then writes src - B (B^T src) into
-    # out a block of rows at a time; the first reads X itself.
-    scratch = np.empty((min(ROW_BLOCK, X.n), X.k))
-    src = X.data
-    for last in (False, True):
-        coef = B.T @ src
-        for rows in _row_blocks(X.n):
-            block = B[rows]
-            part = np.matmul(block, coef, out=scratch[: block.shape[0]])
-            written = np.subtract(src[rows], part, out=out[rows])
-            if last:
-                _map_back(written, scale, offset)
-        src = out
+    # a split by columns would change; the first reads X itself.
+    _subtract_blocks(X.data, B, B.T @ X.data, out)
+    _subtract_blocks(out, B, B.T @ out, out, scale, offset)
 
 
 def transform_against_vector(
@@ -364,7 +361,7 @@ def transform_against_vector(
     scale: np.ndarray | None = None,
     offset: np.ndarray | None = None,
 ) -> None:
-    """Single-vector removal: project_out(col, u) for every column but
+    """Single-vector removal: v - u (u.v / u.u) for every column v but
     ``current``, with u the column ``current`` itself, written and mapped
     back as transform_against_feature does; column ``current`` gets a copy
     of u, which the caller overwrites. This is the linear-only
@@ -384,19 +381,9 @@ def transform_against_vector(
             raise DegenerateFeatureError(f"cannot project against '{current}': it is all zero")
         u = np.ldexp(u, -int(np.frexp(top)[1]))
         uu = float(np.dot(u, u))
-    # project_out's coefficients, one np.dot per contiguous column: u @ X
+    # The coefficients u.v / u.u, one np.dot per contiguous column: u @ X
     # would round differently. Column current's is 0, which leaves u.
     coef = np.array(
         [0.0 if j == idx else float(np.dot(u, X.data[:, j])) / uu for j in range(X.k)]
     )
-    # Each block is formed column-major, where every step runs along
-    # contiguous columns as X's do, then copied into out: subtracting X's
-    # columns straight into out's rows took twice as long.
-    scratch = np.empty((min(ROW_BLOCK, X.n), X.k), order="F")
-    for rows in _row_blocks(X.n):
-        block = out[rows]
-        # Each product u_i * coef_j is rounded once, as project_out's is.
-        part = np.multiply(u[rows, None], coef, out=scratch[: block.shape[0]])
-        np.subtract(X.data[rows], part, out=part)
-        _map_back(part, scale, offset)
-        block[...] = part
+    _subtract_blocks(X.data, u[:, None], coef, out, scale, offset)

@@ -378,3 +378,20 @@ def test_criterion_9_indirect_dependence_through_a_proxy():
         "\nACCEPTANCE 9 (indirect dependence through a proxy): PASS "
         f"[x1 == 100 r^2 to {worst_rel:.1e} relative, rho 0.3/0.6/0.9]"
     )
+
+
+def test_mean_removal_misses_a_proxy_with_constant_conditional_mean():
+    """The limit of criterion 9: x2 = x1 * x3 with x1 and x3 independent and
+    zero-mean, so E[x2 h(x1)] = 0 for every h and no projection onto
+    functions of x1 changes x2, yet the model's output carries |x1|. x1
+    scored 0.078 with the default transforms and 0.005 without."""
+    n = 20000
+    rng = np.random.default_rng(3)
+    x1 = rng.standard_normal(n)
+    x3 = rng.standard_normal(n)
+    X = FeatureMatrix.from_arrays(["x1", "x2", "x3"], np.column_stack([x1, x1 * x3, x3]))
+    model = InProcessModel(lambda a: a[:, 1])
+    for transforms in (TransformSet(), TransformSet.none()):
+        report = rank_all(model, X, AuditConfig(transforms=transforms))
+        assert report.entries[0].name == "x2"
+        assert report.entry("x1").normalized < 1.0

@@ -72,6 +72,27 @@ class TestInProcessModel:
             InProcessModel(fn).predict_batch(m)
         assert info.value.row == 1
 
+    def test_callable_exception_becomes_an_adapter_error(self):
+        m = matrix([[1.0], [2.0]])
+
+        def broken(a):
+            raise ValueError("bad batch")
+
+        with pytest.raises(AdapterError, match="callable raised ValueError: bad batch") as info:
+            InProcessModel(broken).predict_batch(m)
+        assert isinstance(info.value.__cause__, ValueError)
+
+    def test_callable_adapter_error_and_interrupt_pass_through(self):
+        m = matrix([[1.0], [2.0]])
+        for raised in (NonFinitePredictionError("inf", row=0), KeyboardInterrupt()):
+
+            def fn(a, raised=raised):
+                raise raised
+
+            with pytest.raises(type(raised)) as info:
+                InProcessModel(fn).predict_batch(m)
+            assert info.value is raised
+
     def test_callable_may_overwrite_its_input(self, rng):
         m = matrix(rng.standard_normal((300, 4)))
         w = np.array([3.0, -1.0, 0.5, 2.0])

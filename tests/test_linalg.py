@@ -21,7 +21,6 @@ from oproj.linalg import (
     blas_threads,
     one_blas_thread,
     orthonormalize,
-    project_out,
     transform_against_feature,
     transform_against_vector,
 )
@@ -51,6 +50,17 @@ def vector_route(m, name):
     out = np.empty(m.data.shape)
     transform_against_vector(m, name, out)
     return out
+
+
+def remove(v, u):
+    """``v`` with its component along ``u`` removed, by the single-vector
+    route."""
+    return vector_route(cols(u=u, v=v), "u")[:, 1]
+
+
+def project_out(v, u):
+    """v - (u.v / u.u) u, with the single-vector route's arithmetic."""
+    return v - u * (np.dot(u, v) / np.dot(u, u))
 
 
 def rest(out, m, name):
@@ -161,16 +171,18 @@ class TestStorageContract:
 
 
 class TestProjectOut:
+    """The single-vector route on one column ``v`` against ``u``."""
+
     def test_axis_aligned_removal(self):
-        out = project_out(np.array([2.0, 3.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+        out = remove(np.array([2.0, 3.0, 0.0]), np.array([1.0, 0.0, 0.0]))
         np.testing.assert_allclose(out, [0, 3, 0], atol=1e-15)
 
     def test_parallel_vectors_vanish(self):
-        out = project_out(np.array([2.0, 4.0]), np.array([1.0, 2.0]))
+        out = remove(np.array([2.0, 4.0]), np.array([1.0, 2.0]))
         np.testing.assert_allclose(out, [0, 0], atol=1e-15)
 
     def test_direct_formula(self):
-        out = project_out(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
+        out = remove(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
         np.testing.assert_allclose(out, [0.5, -0.5], rtol=1e-15)
 
     def test_zero_direction_rejected(self):
@@ -182,35 +194,35 @@ class TestProjectOut:
         for _ in range(20):
             v = rng.standard_normal(40)
             u = rng.standard_normal(40)
-            out = project_out(v, u)
+            out = remove(v, u)
             assert abs(np.dot(out, u)) <= 1e-8 * np.linalg.norm(v) * np.linalg.norm(u)
 
     def test_idempotent(self, rng):
         v = rng.standard_normal(64)
         u = rng.standard_normal(64)
-        once = project_out(v, u)
-        twice = project_out(once, u)
+        once = remove(v, u)
+        twice = remove(once, u)
         np.testing.assert_allclose(twice, once, rtol=0, atol=1e-10 * np.linalg.norm(v))
 
     def test_norm_never_grows(self, rng):
         for _ in range(20):
             v = rng.standard_normal(30)
             u = rng.standard_normal(30)
-            assert np.linalg.norm(project_out(v, u)) <= np.linalg.norm(v) * (1 + 1e-12)
+            assert np.linalg.norm(remove(v, u)) <= np.linalg.norm(v) * (1 + 1e-12)
 
     def test_linearity(self, rng):
         v = rng.standard_normal(50)
         w = rng.standard_normal(50)
         u = rng.standard_normal(50)
         a, b = 2.5, -1.25
-        combined = project_out(a * v + b * w, u)
-        separate = a * project_out(v, u) + b * project_out(w, u)
+        combined = remove(a * v + b * w, u)
+        separate = a * remove(v, u) + b * remove(w, u)
         np.testing.assert_allclose(combined, separate, rtol=1e-8, atol=1e-8)
 
     def test_reconstruction(self, rng):
         v = rng.standard_normal(50)
         u = rng.standard_normal(50)
-        resid = project_out(v, u)
+        resid = remove(v, u)
         coef = np.dot(u, v) / np.dot(u, u)
         np.testing.assert_allclose(resid + coef * u, v, rtol=1e-12, atol=1e-12)
 
@@ -232,7 +244,7 @@ def test_project_out_properties_hypothesis(data):
     n = len(u)
     if np.linalg.norm(u) <= 1e-12 * np.sqrt(n):
         return
-    out = project_out(v, u)
+    out = remove(v, u)
     scale = max(np.linalg.norm(v) * np.linalg.norm(u), 1e-30)
     assert abs(float(np.dot(out, u))) <= 1e-8 * scale
     assert np.linalg.norm(out) <= np.linalg.norm(v) * (1 + 1e-9) + 1e-12

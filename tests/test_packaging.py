@@ -1,12 +1,16 @@
 import argparse
 import ast
 import importlib
+import importlib.util
+import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -85,6 +89,63 @@ def test_every_bench_hook_name_resolves():
         if holder is None:
             missing.append(f"{module_name}.{dotted}")
     assert missing == []
+
+
+def load_bench_module(name, monkeypatch):
+    """bench/<name>.py imported by path, under the name that the
+    benchmark's scripts import it by, for the length of the test."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_route_reports_every_declared_layer(tmp_path, monkeypatch):
+    """One tiny traced audit per benchmark route. A layer that a refactor
+    stops calling, or calls under another name, would leave its declared
+    per-layer metric absent or missing in the benchmark's result."""
+    import oproj.ranking as ranking
+    from oproj.adapters import InProcessModel
+    from oproj.dataio import SyntheticSpec, generate_synthetic, save_csv
+
+    spans = load_bench_module("spans", monkeypatch)
+    layers = load_bench_module("layers", monkeypatch)
+    X, y, _ = generate_synthetic(SyntheticSpec(n=300, coefficients=(5, 4, 3, 2, 1), seed=3))
+    csv = tmp_path / "data.csv"
+    save_csv(X, csv, target=y)
+    results = {}
+
+    rec = spans.Recorder()
+    undo, missing = layers.install(rec)
+    try:
+        w = np.arange(X.k, 0, -1, dtype=np.float64)
+        model = InProcessModel(lambda a: a @ w + 0.5 * a[:, 0] ** 2)
+        ranking.rank_all(model, X, ranking.AuditConfig())
+    finally:
+        layers.uninstall(undo)
+    results["inproc"] = layers.layer_metrics(rec.dump(), missing)
+
+    model = shlex.join([sys.executable, str(ROOT / "bench" / "model.py"), str(tmp_path / "n")])
+    routes = {
+        "surrogate": ["--surrogate", "ridge", "--transforms", "none"],
+        "subprocess": ["--model", model, "--transforms", "all"],
+    }
+    for route, args in routes.items():
+        spans_file = tmp_path / f"{route}.json"
+        argv = ["audit", "--data", str(csv), *args, "--target", "column:target"]
+        assert layers.main([str(spans_file), *argv, "--out", str(tmp_path / route)]) == 0
+        dump = json.loads(spans_file.read_text(encoding="utf-8"))
+        results[route] = layers.layer_metrics(dump["trace"], dump["missing"])
+
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
+    names = [m["name"] for m in declared if m["name"] in layers.LAYER_METRICS]
+    assert names
+    unmeasured = {
+        route: {name: metrics[name] for name in names if isinstance(metrics[name], str)}
+        for route, metrics in results.items()
+    }
+    assert unmeasured == {route: {} for route in results}
 
 
 def test_dataio_does_not_import_adapters():

@@ -372,6 +372,35 @@ class TestRankAll:
         assert {e.name for e in scored} == {"x1", "x3"}
         assert scored[0].normalized == 100.0
 
+    def test_callable_exception_flags_only_its_feature(self, rng):
+        m = matrix(rng.standard_normal((200, 3)))
+        w = np.array([2.0, 1.0, 0.5])
+        calls = 0
+
+        def third_call_fails(a):
+            nonlocal calls
+            calls += 1
+            if calls == 3:  # the capture, x1's query, then x2's
+                raise ValueError("bad batch")
+            return a @ w
+
+        clean = rank_all(InProcessModel(lambda a: a @ w), m, AuditConfig())
+        report = rank_all(InProcessModel(third_call_fails), m, AuditConfig())
+        x2 = report.entry("x2")
+        assert x2.raw_delta is None
+        assert "feature 'x2'" in x2.error and "ValueError: bad batch" in x2.error
+        for name in ("x1", "x3"):
+            assert report.entry(name).raw_delta.hex() == clean.entry(name).raw_delta.hex()
+
+    def test_callable_exception_at_capture_ends_the_audit(self, rng):
+        m = matrix(rng.standard_normal((20, 2)))
+
+        def broken(a):
+            raise ValueError("bad batch")
+
+        with pytest.raises(AdapterError, match="ValueError: bad batch"):
+            rank_all(InProcessModel(broken), m, AuditConfig())
+
     def test_non_utf8_reply_flags_only_its_feature(self, rng):
         command = (*fixture_command("misbehaving_model.py").split(), "binary", "x2")
         h = SubprocessModel(SubprocessSpec(command))
