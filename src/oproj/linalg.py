@@ -217,11 +217,13 @@ class ProjectionBasis:
         arr = np.ascontiguousarray(self.array, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[1] == 0:
             raise DegenerateSubspaceError("a projection basis needs at least one vector")
-        # Written as "not within" so that a NaN fails the checks too.
-        unit = np.abs(np.linalg.norm(arr, axis=0) - 1.0) <= 1e-10
+        # One r x r Gram matrix serves both checks, so no n x r temporary is
+        # made. Written as "not within" so that a NaN fails the checks too.
+        gram = arr.T @ arr
+        unit = np.abs(np.sqrt(np.diag(gram)) - 1.0) <= 1e-10
         if not unit.all():
             raise ValueError(f"basis vector {int(np.argmin(unit))} is not unit-norm")
-        off = arr.T @ arr - np.eye(arr.shape[1])
+        off = gram - np.eye(arr.shape[1])
         if not np.max(np.abs(off)) <= 1e-10 * arr.shape[0]:
             raise ValueError("basis vectors are not mutually orthogonal")
         object.__setattr__(self, "array", arr)

@@ -55,21 +55,30 @@ def build_removal_candidates(
     DegenerateFeatureError naming the feature and the transform.
     """
     x = X.data[:, X.index(current)]
-    companions: list[tuple[str, np.ndarray]] = []
-    with np.errstate(over="ignore"):
-        if ts.enable_log:
-            companions.append(("log", np.log(x - np.min(x) + 1.0)))
-        for d in ts.poly_degrees:
-            companions.append((f"pow{d}", x**d))
-        if ts.enable_exp:
-            clipped = np.clip(x, -EXP_CLIP, EXP_CLIP)
-            companions.append(("exp", np.exp(clipped)))
-    for transform, values in companions:
-        if not np.isfinite(values).all():
+    transforms = [
+        *(["log"] if ts.enable_log else []),
+        *(f"pow{d}" for d in ts.poly_degrees),
+        *(["exp"] if ts.enable_exp else []),
+    ]
+    # One row per candidate, each companion written in place: the rows,
+    # transposed, are the column-major layout FeatureMatrix keeps.
+    rows = np.empty((1 + len(transforms), len(x)))
+    rows[0] = x
+    for transform, row in zip(transforms, rows[1:]):
+        with np.errstate(over="ignore"):
+            if transform == "log":
+                np.subtract(x, np.min(x), out=row)
+                row += 1.0
+                np.log(row, out=row)
+            elif transform == "exp":
+                np.clip(x, -EXP_CLIP, EXP_CLIP, out=row)
+                np.exp(row, out=row)
+            else:
+                np.power(x, int(transform[len("pow") :]), out=row)
+        if not np.isfinite(row).all():
             raise DegenerateFeatureError(
                 f"transform '{transform}' of '{current}' overflows to non-finite "
                 "values; standardize the data or drop the transform"
             )
-    names = [current, *(f"{current}__{t}" for t, _ in companions)]
-    # c rows of n, transposed: the column-major layout FeatureMatrix keeps.
-    return FeatureMatrix._adopt(names, np.array([x, *(v for _, v in companions)]).T)
+    names = [current, *(f"{current}__{t}" for t in transforms)]
+    return FeatureMatrix._adopt(names, rows.T)

@@ -413,6 +413,11 @@ class TestTransformAgainstFeature:
         current = m.names[idx]
         cands = build_removal_candidates(m, current, ts)
         B = orthonormalize(cands).array
+        # The reference is exact only for a basis of two or more vectors.
+        # With one, numpy computes B^T D as a matrix-vector product, which
+        # rounds by layout; a one-vector basis needs a byte comparison with
+        # a known-good version instead.
+        assert B.shape[1] >= 2
         D = np.delete(m.data, m.index(current), axis=1)
         D = D - np.matmul(B, B.T @ D, out=np.empty(D.shape, order="F"))
         D -= np.matmul(B, B.T @ D, out=np.empty(D.shape, order="F"))

@@ -146,6 +146,13 @@ def test_every_traced_route_reports_every_declared_layer(tmp_path, monkeypatch):
         for route, metrics in results.items()
     }
     assert unmeasured == {route: {} for route in results}
+    # Five features, each removed with its c candidates: c = 5 under the
+    # default and "all" transforms, and 1 under "none".
+    counted = {
+        route: (metrics["transforms.candidates"], metrics["linalg.kept_ratio"])
+        for route, metrics in results.items()
+    }
+    assert counted == {"inproc": (25, 1.0), "surrogate": (5, 1.0), "subprocess": (25, 1.0)}
 
 
 def test_dataio_does_not_import_adapters():

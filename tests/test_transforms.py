@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oproj.errors import DegenerateSubspaceError, FeatureLookupError
+from oproj.errors import DegenerateFeatureError, DegenerateSubspaceError, FeatureLookupError
 from oproj.linalg import FeatureMatrix, orthonormalize
 from oproj.transforms import EXP_CLIP, TransformSet, build_removal_candidates
 
@@ -90,6 +90,38 @@ class TestBuildRemovalCandidates:
         assert out.names == ("x", "x__pow2")
         np.testing.assert_array_equal(out.data, [[1, 1], [2, 4], [3, 9]])
         assert out.data.flags.f_contiguous and not out.data.flags.writeable
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0, 1e5])
+    @pytest.mark.parametrize(
+        "ts",
+        [
+            TransformSet(),
+            TransformSet(False, (2,), False),
+            TransformSet(True, (), False),
+            TransformSet(False, (), True),
+            TransformSet(True, (2, 3, 5), True),
+            TransformSet.none(),
+        ],
+        ids=["default", "pow2", "log", "exp", "all", "none"],
+    )
+    def test_candidates_match_their_formulas_bit_for_bit(self, ts, scale):
+        x = np.random.default_rng(5).standard_normal(2000) * scale
+        assert (x < 0).any()
+        out = cands(x, ts)
+        expected = [x]
+        if ts.enable_log:
+            expected.append(np.log(x - np.min(x) + 1.0))
+        expected += [x**d for d in ts.poly_degrees]
+        if ts.enable_exp:
+            expected.append(np.exp(np.clip(x, -EXP_CLIP, EXP_CLIP)))
+        assert out.k == len(expected)
+        for name, got, want in zip(out.names, out.data.T, expected):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+
+    def test_first_overflowing_transform_is_named(self):
+        # pow3 and pow5 both overflow; the fixed order names pow3 first.
+        with pytest.raises(DegenerateFeatureError, match="'pow3' of 'x'"):
+            cands([1e120, -2e120, 3e120], TransformSet(True, (3, 5), True))
 
     def test_unknown_feature(self):
         m = FeatureMatrix.from_arrays(["x"], np.array([[1.0], [2.0]]))
