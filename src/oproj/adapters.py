@@ -100,7 +100,11 @@ class ModelHandle(ABC):
 
 
 def _validated(pred, n: int) -> np.ndarray:
-    pred = np.asarray(pred, dtype=np.float64).reshape(-1)
+    pred = np.asarray(pred)
+    if pred.dtype.kind not in "biuf":
+        # Text fails to convert, and complex values lose their imaginary part.
+        raise MalformedOutputError(f"model returned {pred.dtype} values, not numbers")
+    pred = pred.astype(np.float64, copy=False).reshape(-1)
     if pred.shape[0] != n:
         raise RowCountMismatchError(
             f"model returned {pred.shape[0]} predictions for {n} rows"

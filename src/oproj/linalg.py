@@ -1,6 +1,6 @@
 """Dense column arithmetic and orthogonal projection.
 
-All arithmetic is float64, and inputs are never mutated. The two
+All arithmetic is float64. Only orthonormalize mutates its input. The two
 transformations write every column into a row-major n x k array that the
 caller hands them, a block of rows at a time, and map each block back to
 native scale while it is in cache. The audited column's cells are finite
@@ -124,8 +124,8 @@ class FeatureMatrix:
     ``FeatureMatrix(names, data)`` copies an n x k array whose columns line
     up with ``names`` and checks that every value is finite. ``load_csv``
     checks its cells as it parses them. Matrices the package derives from
-    these (standardized data, removal candidates) wrap their fresh arrays
-    without a copy or a second check.
+    these (standardized data, a matrix less one column) wrap their fresh
+    arrays without a copy or a second check.
     """
 
     __slots__ = ("names", "data")
@@ -171,10 +171,6 @@ class FeatureMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"FeatureMatrix is immutable; cannot set '{name}'")
-
-    def __len__(self) -> int:
-        """The number of columns: a matrix is a sequence of named columns."""
-        return self.data.shape[1]
 
     @property
     def n(self) -> int:
@@ -234,34 +230,31 @@ class ProjectionBasis:
         return self.array.T
 
 
-def orthonormalize(candidates: FeatureMatrix) -> ProjectionBasis:
-    """Modified Gram-Schmidt over the columns of ``candidates``, in order,
-    with one re-orthogonalization pass per vector.
+def orthonormalize(rows: np.ndarray) -> ProjectionBasis:
+    """Modified Gram-Schmidt over the rows of ``rows``, in order, with one
+    re-orthogonalization pass per vector. Works in place: ``rows`` must be
+    a writable, C-order (c x n) float64 array, else DimensionError, and it
+    is overwritten; each accepted row ends as its basis vector.
 
     A candidate is dropped when its residual after projection against the
     vectors accepted so far has norm < DROP_TOL times its original norm
     (rank deficiency rather than a new direction). Raises
-    DegenerateFeatureError naming a candidate whose norm overflows float64,
-    and DegenerateSubspaceError when nothing survives.
+    DegenerateSubspaceError when nothing survives.
     """
-    # A writable copy; its columns are contiguous, so every dot product
-    # below runs on plain vectors.
-    work = np.array(candidates.data, order="F")
+    # carray: C-contiguous, aligned and writeable.
+    if not (rows.ndim == 2 and rows.dtype == np.float64 and rows.flags.carray):
+        raise DimensionError(
+            f"rows must be a writable C-order float64 c x n array, got {rows.dtype} {rows.shape}"
+        )
     accepted: list[np.ndarray] = []
-    for name, v in zip(candidates.names, work.T):
-        with np.errstate(over="ignore"):
-            orig = float(np.linalg.norm(v))
-        if not np.isfinite(orig):
-            raise DegenerateFeatureError(
-                f"candidate '{name}' has norm {orig} beyond float64 range; "
-                "standardize the data or drop the transform"
-            )
+    for v in rows:
         top = float(np.max(np.abs(v)))
         if top == 0.0:
             continue
         # A power of two brings v's largest magnitude into [0.5, 1). It
-        # scales v and its residuals below exactly, so their norms cannot
-        # underflow, and a vector whose norms were in range keeps its bits.
+        # scales v and its residuals exactly, so their norms can neither
+        # overflow nor underflow, and a vector whose norms were in range
+        # keeps its bits.
         np.ldexp(v, -int(np.frexp(top)[1]), out=v)
         orig = float(np.linalg.norm(v))
         for _ in range(2):  # second sweep mops up cancellation error
@@ -274,10 +267,10 @@ def orthonormalize(candidates: FeatureMatrix) -> ProjectionBasis:
         accepted.append(v)
     if not accepted:
         raise DegenerateSubspaceError(
-            f"all {candidates.k} candidates were dropped as rank-deficient"
+            f"all {len(rows)} candidates were dropped as rank-deficient"
         )
     return ProjectionBasis(
-        np.column_stack(accepted), dropped_count=candidates.k - len(accepted)
+        np.column_stack(accepted), dropped_count=len(rows) - len(accepted)
     )
 
 

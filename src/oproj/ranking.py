@@ -176,7 +176,7 @@ def _removal_basis(
     if audit.k == 1:
         return None
     candidates = build_removal_candidates(audit, current, cfg.transforms)
-    if candidates.k == 1:
+    if len(candidates) == 1:
         return None
     return orthonormalize(candidates)
 
@@ -253,11 +253,12 @@ def rank_all(
     This is the one function that queries the model. When ``y`` is None the
     target is the model's own captured output on the original matrix, so
     the baseline is perfect by construction and deltas measure how far the
-    model moves when a feature's footprint is removed. The whole run issues
-    exactly k+1 batch queries (one capture plus one per feature), or k+2
-    with ``check_repeatability``, whose repeat capture warns when the model
-    disagrees with itself beyond REPEATABILITY_TOL. Per-feature failures
-    become flagged entries rather than aborting the run.
+    model moves when a feature's footprint is removed. A given ``y`` must
+    hold n finite values; it is checked before any query. The run makes one
+    capture query (two with ``check_repeatability``, whose repeat warns when
+    the model disagrees with itself beyond REPEATABILITY_TOL), then one per
+    feature not flagged before its query is built: k+1 when none is.
+    Per-feature failures become flagged entries rather than aborting the run.
 
     The audit runs with numpy's OpenBLAS set to one thread (see
     ``one_blas_thread``), an in-process model's own BLAS calls included, so
@@ -266,6 +267,13 @@ def rank_all(
     projected, queried and scored, one basis at a time; the model is only
     called on the caller's thread.
     """
+    if y is not None:
+        y = np.asarray(y, dtype=np.float64).reshape(-1)
+        if y.shape[0] != X.n:
+            raise DimensionError(f"target length {y.shape[0]} does not match {X.n} rows")
+        bad = np.flatnonzero(~np.isfinite(y))
+        if bad.size:
+            raise ValueError(f"target is not finite at row {int(bad[0])}")
     captured = model.predict_batch(X)
     warnings: tuple[str, ...] = ()
     if cfg.check_repeatability:
@@ -274,11 +282,7 @@ def rank_all(
             warnings = (
                 f"model is not repeatable: repeat query differs by up to {spread:.3e}",
             )
-    target = captured if y is None else np.asarray(y, dtype=np.float64).reshape(-1)
-    if target.shape[0] != X.n:
-        raise DimensionError(
-            f"target length {target.shape[0]} does not match {X.n} rows"
-        )
+    target = captured if y is None else y
     baseline = compute_metric(captured, target, cfg.metric)
     if not np.isfinite(baseline):
         raise AuditFailedError(

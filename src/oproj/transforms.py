@@ -45,11 +45,11 @@ class TransformSet:
 
 def build_removal_candidates(
     X: FeatureMatrix, current: str, ts: TransformSet
-) -> FeatureMatrix:
-    """The columns whose span gets projected out when auditing feature
-    ``current`` of X: the feature itself, then its enabled transforms in
-    fixed order (log, polynomials by ascending degree, exp), each named
-    ``<feature>__<transform>``.
+) -> np.ndarray:
+    """The vectors whose span gets projected out when auditing feature
+    ``current`` of X, one per row of a fresh C-order (c x n) float64
+    array: the feature itself, then its enabled transforms in fixed order
+    (log, polynomials by ascending degree, exp).
 
     A transform that overflows (a cube of values near 1e120, say) raises
     DegenerateFeatureError naming the feature and the transform.
@@ -60,8 +60,7 @@ def build_removal_candidates(
         *(f"pow{d}" for d in ts.poly_degrees),
         *(["exp"] if ts.enable_exp else []),
     ]
-    # One row per candidate, each companion written in place: the rows,
-    # transposed, are the column-major layout FeatureMatrix keeps.
+    # One row per candidate, each companion written in place.
     rows = np.empty((1 + len(transforms), len(x)))
     rows[0] = x
     for transform, row in zip(transforms, rows[1:]):
@@ -80,5 +79,4 @@ def build_removal_candidates(
                 f"transform '{transform}' of '{current}' overflows to non-finite "
                 "values; standardize the data or drop the transform"
             )
-    names = [current, *(f"{current}__{t}" for t in transforms)]
-    return FeatureMatrix._adopt(names, rows.T)
+    return rows

@@ -33,9 +33,14 @@ def cols(**columns):
     return FeatureMatrix.from_arrays(list(columns), np.column_stack(values))
 
 
+def rows(*vectors):
+    """Removal candidates, one per row, in the order given."""
+    return np.array(vectors, dtype=float)
+
+
 def own(m, name):
     """The one-candidate removal set of ``name``: the column itself."""
-    return FeatureMatrix.from_arrays([name], m.data[:, [m.index(name)]])
+    return rows(m.data[:, m.index(name)])
 
 
 def basis_route(m, name, candidates):
@@ -110,7 +115,7 @@ class TestFeatureMatrix:
         m = FeatureMatrix.from_arrays(["a", "b", "c"], data)
         np.testing.assert_array_equal(m.as_array(), data)
         assert m.names == ("a", "b", "c")
-        assert (m.n, m.k, len(m)) == (10, 3, 3)
+        assert (m.n, m.k) == (10, 3)
 
 
 def _built_by(how, tmp_path):
@@ -252,50 +257,52 @@ def test_project_out_properties_hypothesis(data):
 
 class TestOrthonormalize:
     def test_already_orthogonal(self):
-        basis = orthonormalize(cols(a=[1, 0], b=[0, 2]))
+        basis = orthonormalize(rows([1, 0], [0, 2]))
         assert basis.dropped_count == 0
         np.testing.assert_allclose(basis.array, [[1, 0], [0, 1]], atol=1e-15)
         assert len(basis.vectors) == 2
 
     def test_duplicate_direction_dropped(self):
-        basis = orthonormalize(cols(a=[1, 1], b=[2, 2]))
+        basis = orthonormalize(rows([1, 1], [2, 2]))
         assert basis.dropped_count == 1
         s = 1 / np.sqrt(2)
         np.testing.assert_allclose(basis.array, [[s], [s]], rtol=1e-15)
 
     def test_three_vector_vs_qr_oracle(self):
         # Oracle: numpy's QR factorization of the same 3x3 candidate matrix.
-        cands = cols(a=[1, 0, 0], b=[1, 1, 0], c=[1, 1, 1])
+        cands = rows([1, 0, 0], [1, 1, 0], [1, 1, 1])
+        q_oracle, _ = np.linalg.qr(cands.T)
         basis = orthonormalize(cands)
         assert basis.dropped_count == 0
         ours = basis.array
         assert ours.shape == (3, 3) and ours.flags.c_contiguous
-        q_oracle, _ = np.linalg.qr(cands.data)
         for j in range(3):
             # Columns agree up to sign.
             direction = np.sign(np.dot(q_oracle[:, j], ours[:, j]))
             np.testing.assert_allclose(ours[:, j], direction * q_oracle[:, j], atol=1e-12)
 
     def test_zero_vector_dropped(self):
-        basis = orthonormalize(cols(a=[1, 0], z=[0, 0]))
+        basis = orthonormalize(rows([1, 0], [0, 0]))
         assert basis.dropped_count == 1
 
     def test_all_dropped_raises(self):
         with pytest.raises(DegenerateSubspaceError):
-            orthonormalize(cols(z1=[0, 0], z2=[0, 0]))
+            orthonormalize(rows([0, 0], [0, 0]))
 
     def test_empty_raises(self):
-        # No candidate set can be empty, and no basis either.
+        # No matrix can be empty, and no basis either: not one built from no
+        # candidates, nor one given directly.
         with pytest.raises(DimensionError):
             FeatureMatrix.from_arrays([], np.empty((3, 0)))
+        with pytest.raises(DegenerateSubspaceError, match="all 0 candidates"):
+            orthonormalize(np.empty((0, 3)))
         with pytest.raises(DegenerateSubspaceError):
             ProjectionBasis(np.empty((3, 0)))
 
     def test_basis_invariants_random(self, rng):
         for _ in range(10):
             n = 60
-            m = FeatureMatrix.from_arrays([f"c{j}" for j in range(6)], rng.standard_normal((n, 6)))
-            arr = orthonormalize(m).array
+            arr = orthonormalize(rows(*rng.standard_normal((n, 6)).T)).array
             off = arr.T @ arr - np.eye(arr.shape[1])
             assert np.max(np.abs(off)) <= 1e-10 * n
             np.testing.assert_allclose(np.linalg.norm(arr, axis=0), 1.0, rtol=0, atol=1e-10)
@@ -303,22 +310,42 @@ class TestOrthonormalize:
     def test_near_dependent_candidate_dropped(self, rng):
         base = rng.standard_normal(80)
         nearly = base * 3.0  # exactly dependent after scaling
-        basis = orthonormalize(cols(a=base, b=nearly, c=rng.standard_normal(80)))
+        basis = orthonormalize(rows(base, nearly, rng.standard_normal(80)))
         assert basis.dropped_count == 1
         assert basis.array.shape == (80, 2)
         np.testing.assert_array_equal(basis.vectors, basis.array.T)
 
-    def test_input_left_unchanged(self, rng):
-        m = FeatureMatrix.from_arrays(["a", "b"], rng.standard_normal((20, 2)))
-        before = m.data.copy()
-        orthonormalize(m)
-        np.testing.assert_array_equal(m.data, before)
+    def test_works_in_place_on_the_accepted_rows(self, rng):
+        # The second row is dependent on the first and is dropped; the
+        # first and third become the basis vectors where they lie.
+        base = rng.standard_normal(20)
+        cands = rows(base, -2.0 * base, rng.standard_normal(20))
+        basis = orthonormalize(cands)
+        assert basis.dropped_count == 1
+        np.testing.assert_array_equal(basis.vectors, cands[[0, 2]])
+
+    @pytest.mark.parametrize(
+        "cands",
+        [
+            np.ones((3, 2), order="F"),
+            np.ones((2, 3), dtype=np.float32),
+            np.ones(3),
+            np.frombuffer(bytes(48)).reshape(2, 3),
+        ],
+        ids=["column-major", "float32", "one-dimensional", "read-only"],
+    )
+    def test_rejects_what_it_cannot_overwrite_in_place(self, cands):
+        with pytest.raises(DimensionError, match="writable C-order float64"):
+            orthonormalize(cands)
 
     @pytest.mark.filterwarnings("error")
-    def test_overflowing_norm_names_the_candidate(self, rng):
+    def test_candidates_whose_norms_overflow_are_scaled(self, rng):
+        # x's square is finite but its norm is not; a power of two brings
+        # each candidate into range before any norm is taken.
         x = rng.standard_normal(40) * 1e100
-        with pytest.raises(DegenerateFeatureError, match="'x__pow2'"):
-            orthonormalize(cols(x=x, x__pow2=x**2))
+        basis = orthonormalize(rows(x, x**2))
+        assert basis.dropped_count == 0
+        np.testing.assert_allclose(np.linalg.norm(basis.array, axis=0), 1.0, atol=1e-12)
 
 
 class TestProjectionBasisValidation:
@@ -353,7 +380,7 @@ class TestTransformAgainstFeature:
         # Direct dot-product oracle on a random 200x8 matrix.
         data = rng.standard_normal((200, 8))
         m = FeatureMatrix.from_arrays([f"x{j}" for j in range(8)], data)
-        q = own(m, "x3").data[:, 0] / np.linalg.norm(data[:, 3])
+        q = own(m, "x3")[0] / np.linalg.norm(data[:, 3])
         out, _ = basis_route(m, "x3", own(m, "x3"))
         for col in rest(out, m, "x3").T:
             bound = 1e-8 * max(np.linalg.norm(col), 1e-300)
@@ -379,7 +406,7 @@ class TestTransformAgainstFeature:
 
     def test_basis_length_must_match(self, rng):
         m = FeatureMatrix.from_arrays(["a", "b"], rng.standard_normal((10, 2)))
-        basis = orthonormalize(FeatureMatrix.from_arrays(["u"], np.ones((9, 1))))
+        basis = orthonormalize(np.ones((1, 9)))
         with pytest.raises(DimensionError, match="basis length 9"):
             transform_against_feature(m, "a", basis, np.empty((10, 2)))
 
@@ -411,8 +438,7 @@ class TestTransformAgainstFeature:
         # the other columns, as a standalone array. Equal to the last bit.
         m = FeatureMatrix.from_arrays([f"x{j}" for j in range(k)], rng.standard_normal((n, k)))
         current = m.names[idx]
-        cands = build_removal_candidates(m, current, ts)
-        B = orthonormalize(cands).array
+        B = orthonormalize(build_removal_candidates(m, current, ts)).array
         # The reference is exact only for a basis of two or more vectors.
         # With one, numpy computes B^T D as a matrix-vector product, which
         # rounds by layout; a one-vector basis needs a byte comparison with
@@ -421,7 +447,8 @@ class TestTransformAgainstFeature:
         D = np.delete(m.data, m.index(current), axis=1)
         D = D - np.matmul(B, B.T @ D, out=np.empty(D.shape, order="F"))
         D -= np.matmul(B, B.T @ D, out=np.empty(D.shape, order="F"))
-        out, _ = basis_route(m, current, cands)
+        # orthonormalize overwrites its candidates, so the route gets its own.
+        out, _ = basis_route(m, current, build_removal_candidates(m, current, ts))
         np.testing.assert_array_equal(rest(out, m, current), D)
 
 

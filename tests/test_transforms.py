@@ -19,7 +19,7 @@ class TestTransformSet:
         assert ts.enable_log and ts.enable_exp
         assert ts.poly_degrees == (2, 3)
         assert EXP_CLIP == 20.0
-        assert cands([0.0, 1.0, 2.0], ts).k == 1 + 4
+        assert len(cands([0.0, 1.0, 2.0], ts)) == 1 + 4
 
     def test_degree_below_two_rejected(self):
         with pytest.raises(ValueError, match="degrees"):
@@ -31,7 +31,7 @@ class TestTransformSet:
 
     def test_none_is_empty(self):
         ts = TransformSet.none()
-        assert cands([0.0, 1.0, 2.0], ts).names == ("x",)
+        np.testing.assert_array_equal(cands([0.0, 1.0, 2.0], ts), [[0.0, 1.0, 2.0]])
 
 
 class TestExpandFeature:
@@ -39,42 +39,50 @@ class TestExpandFeature:
 
     def test_square_only(self):
         out = cands([1, 2, 3], TransformSet(False, (2,), False))
-        assert out.names == ("x", "x__pow2")
-        np.testing.assert_array_equal(out.data[:, 1], [1, 4, 9])
+        np.testing.assert_array_equal(out, [[1, 2, 3], [1, 4, 9]])
 
     def test_log_shifted(self):
         out = cands([0, 1], TransformSet(True, (), False))
-        assert out.names[1] == "x__log"
-        np.testing.assert_allclose(out.data[:, 1], [math.log(1), math.log(2)], rtol=1e-15)
+        assert len(out) == 2
+        np.testing.assert_allclose(out[1], [math.log(1), math.log(2)], rtol=1e-15)
 
     def test_exp_matches_scalar_oracle(self):
         # Oracle: per-element math.exp on the standardized values.
         vals = np.array([-1.0, 0.0, 1.0])
         std = (vals - vals.mean()) / vals.std()
         out = cands(std, TransformSet(False, (), True))
-        assert out.names[1] == "x__exp"
+        assert len(out) == 2
         expected = np.array([math.exp(v) for v in std])
-        np.testing.assert_allclose(out.data[:, 1], expected, rtol=1e-15)
-        assert np.all(np.isfinite(out.data))
+        np.testing.assert_allclose(out[1], expected, rtol=1e-15)
+        assert np.all(np.isfinite(out))
 
     def test_exp_clip_keeps_outputs_finite(self):
         out = cands([-1e6, 0.0, 1e6], TransformSet(False, (), True))
-        assert np.all(np.isfinite(out.data))
-        assert out.data[:, 1].max() == math.exp(20.0)
+        assert np.all(np.isfinite(out))
+        assert out[1].max() == math.exp(20.0)
 
     def test_fixed_order_and_count(self, rng):
         ts = TransformSet(True, (2, 3), True)
-        out = cands(rng.standard_normal(20), ts)
-        assert out.names == ("x", "x__log", "x__pow2", "x__pow3", "x__exp")
-        assert out.k == 1 + 4
+        x = rng.standard_normal(20)
+        out = cands(x, ts)
+        assert len(out) == 1 + 4
+        # x, then log, pow2, pow3 and exp, each row exactly its formula.
+        expected = [
+            x,
+            np.log(x - np.min(x) + 1.0),
+            x**2,
+            x**3,
+            np.exp(np.clip(x, -EXP_CLIP, EXP_CLIP)),
+        ]
+        np.testing.assert_array_equal(out, expected)
 
     def test_totality_on_nasty_inputs(self, rng):
         for _ in range(10):
             out = cands(rng.standard_normal(30) * 1e3, TransformSet())
-            assert np.all(np.isfinite(out.data))
+            assert np.all(np.isfinite(out))
 
     def test_count_property(self):
-        assert cands([1, 2], TransformSet.none()).k == 1
+        assert len(cands([1, 2], TransformSet.none())) == 1
         assert len(cands([1, 2], TransformSet(True, (2,), False))) == 3
 
 
@@ -82,14 +90,14 @@ class TestBuildRemovalCandidates:
     def test_all_disabled_reduces_to_feature_alone(self, rng):
         m = FeatureMatrix.from_arrays(["a", "b"], rng.standard_normal((10, 2)))
         out = build_removal_candidates(m, "a", TransformSet.none())
-        assert out.names == ("a",)
-        np.testing.assert_array_equal(out.data[:, 0], m.data[:, 0])
+        assert out.shape == (1, 10)
+        np.testing.assert_array_equal(out[0], m.data[:, 0])
 
     def test_concatenation_order(self):
         out = cands([1, 2, 3], TransformSet(False, (2,), False))
-        assert out.names == ("x", "x__pow2")
-        np.testing.assert_array_equal(out.data, [[1, 1], [2, 4], [3, 9]])
-        assert out.data.flags.f_contiguous and not out.data.flags.writeable
+        np.testing.assert_array_equal(out, [[1, 2, 3], [1, 4, 9]])
+        assert out.dtype == np.float64
+        assert out.flags.c_contiguous and out.flags.writeable
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0, 1e5])
     @pytest.mark.parametrize(
@@ -114,9 +122,9 @@ class TestBuildRemovalCandidates:
         expected += [x**d for d in ts.poly_degrees]
         if ts.enable_exp:
             expected.append(np.exp(np.clip(x, -EXP_CLIP, EXP_CLIP)))
-        assert out.k == len(expected)
-        for name, got, want in zip(out.names, out.data.T, expected):
-            assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+        assert len(out) == len(expected)
+        for j, (got, want) in enumerate(zip(out, expected)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), j
 
     def test_first_overflowing_transform_is_named(self):
         # pow3 and pow5 both overflow; the fixed order names pow3 first.
@@ -132,9 +140,9 @@ class TestBuildRemovalCandidates:
         # Oracle: the candidate stack of a constant column has matrix rank 1,
         # so all but one candidate must be dropped downstream.
         out = cands([5.0, 5.0, 5.0], TransformSet(), name="c")
-        assert np.linalg.matrix_rank(out.data) == 1
+        assert np.linalg.matrix_rank(out) == 1
         basis = orthonormalize(out)
-        assert basis.dropped_count == out.k - 1
+        assert basis.dropped_count == len(out) - 1
         assert basis.array.shape == (3, 1)
 
     def test_zero_column_with_no_transforms_degenerate(self):
