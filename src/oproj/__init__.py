@@ -1,7 +1,7 @@
 """oproj: rank a black-box model's dependence on each input feature by
 iterative orthogonal projection."""
 
-from .adapters import InProcessModel, ModelHandle, SubprocessModel, SubprocessSpec
+from .adapters import InProcessModel, ModelHandle, SubprocessModel
 from .dataio import (
     ColumnSpec,
     DatasetSchema,

@@ -60,21 +60,15 @@ class ModelHandle(ABC):
     on, so a model may read it in place and write to it.
     """
 
-    feature_names: tuple[str, ...] | None = None
-
     def predict_batch(self, X: FeatureMatrix) -> np.ndarray:
         """Query the model once on a row-major copy of ``X`` and validate
         the reply."""
         return self.collect(self.launch(X.names, X.as_array()))
 
     def launch(self, names: Sequence[str], rows: np.ndarray):
-        """Check the column names and the layout of ``rows``, then start
-        the model on them; returns what ``collect`` and ``abort`` take."""
+        """Check the layout of ``rows`` against the column names, then
+        start the model on them; returns what ``collect`` and ``abort`` take."""
         names = tuple(names)
-        if self.feature_names is not None and names != self.feature_names:
-            raise AdapterError(
-                f"model expects columns {list(self.feature_names)}, got {list(names)}"
-            )
         if not (
             rows.shape[1:] == (len(names),)
             and rows.dtype == np.float64
@@ -127,14 +121,8 @@ class InProcessModel(ModelHandle):
     the audit flags that query's feature as it does a failed subprocess.
     """
 
-    def __init__(
-        self,
-        fn: Callable[[np.ndarray], np.ndarray],
-        *,
-        feature_names: Sequence[str] | None = None,
-    ):
+    def __init__(self, fn: Callable[[np.ndarray], np.ndarray]):
         self.fn = fn
-        self.feature_names = tuple(feature_names) if feature_names is not None else None
 
     def _start(self, names: tuple[str, ...], rows: np.ndarray) -> tuple[np.ndarray, int]:
         try:
@@ -146,25 +134,6 @@ class InProcessModel(ModelHandle):
 
     def collect(self, running: tuple[np.ndarray, int]) -> np.ndarray:
         return _validated(*running)
-
-
-@dataclass(frozen=True)
-class SubprocessSpec:
-    """How to invoke an external model: argv and time budget."""
-
-    command: tuple[str, ...]
-    timeout: float = 60.0
-
-    def __post_init__(self):
-        if not self.command:
-            raise ValueError("command must not be empty")
-        # threading's waits refuse a timeout above TIMEOUT_MAX.
-        if not 0 < self.timeout <= threading.TIMEOUT_MAX:
-            raise ValueError(
-                f"timeout must be in (0, {threading.TIMEOUT_MAX:g}] seconds, "
-                f"got {self.timeout}"
-            )
-        object.__setattr__(self, "command", tuple(self.command))
 
 
 def parse_prediction_lines(reply: bytes, expected_rows: int) -> np.ndarray:
@@ -203,7 +172,9 @@ class _Running:
 
 
 class SubprocessModel(ModelHandle):
-    """External model spoken to over the stdin/stdout CSV protocol.
+    """External model spoken to over the stdin/stdout CSV protocol:
+    ``command`` is its argv, run once per query, and ``timeout`` its budget
+    in seconds.
 
     The payload goes to an unnamed temporary file that becomes the model's
     stdin, and its stdout and stderr go to unnamed files too, so the model
@@ -213,17 +184,19 @@ class SubprocessModel(ModelHandle):
     it has exited, before its reply is read, or once it has timed out.
     """
 
-    def __init__(
-        self,
-        spec: SubprocessSpec,
-        *,
-        feature_names: Sequence[str] | None = None,
-    ):
-        self.spec = spec
-        self.feature_names = tuple(feature_names) if feature_names is not None else None
+    def __init__(self, command: Sequence[str], *, timeout: float = 60.0):
+        self.command = tuple(command)
+        if not self.command:
+            raise ValueError("command must not be empty")
+        # threading's waits refuse a timeout above TIMEOUT_MAX.
+        if not 0 < timeout <= threading.TIMEOUT_MAX:
+            raise ValueError(
+                f"timeout must be in (0, {threading.TIMEOUT_MAX:g}] seconds, got {timeout}"
+            )
+        self.timeout = timeout
 
     def _start(self, names: tuple[str, ...], rows: np.ndarray) -> _Running:
-        cmd = list(self.spec.command)
+        cmd = list(self.command)
         with tempfile.TemporaryFile() as payload:
             format_matrix_csv(names, rows, payload)
             payload.seek(0)
@@ -240,11 +213,11 @@ class SubprocessModel(ModelHandle):
                 stdout.close()
                 stderr.close()
                 raise AdapterError(f"cannot run model command {cmd}: {exc}") from exc
-        deadline = time.monotonic() + self.spec.timeout
+        deadline = time.monotonic() + self.timeout
         return _Running(proc, stdout, stderr, deadline, rows.shape[0])
 
     def collect(self, running: _Running) -> np.ndarray:
-        cmd = list(self.spec.command)
+        cmd = list(self.command)
         proc = running.proc
         try:
             # A model that has already exited answers at once. Otherwise a
@@ -262,7 +235,7 @@ class SubprocessModel(ModelHandle):
         if not exited:
             self.abort(running)
             raise ModelTimeoutError(
-                f"model command {cmd} exceeded timeout of {self.spec.timeout}s"
+                f"model command {cmd} exceeded timeout of {self.timeout}s"
             )
         # Whatever the model left running in its group dies with it.
         _kill_group_and_reap(proc)

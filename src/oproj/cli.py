@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .adapters import SubprocessModel, SubprocessSpec
+from .adapters import SubprocessModel
 from .dataio import (
     DatasetSchema,
     generate_synthetic,
@@ -176,9 +176,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _prepare_audit_inputs(args, parser: argparse.ArgumentParser):
-    """Shared setup for audit/validate: data, recorded target, model handle,
-    surrogate fidelity and notes, schema and config."""
+def _run_audit(args, parser: argparse.ArgumentParser):
+    """Shared by audit and validate: check the flags, build the model
+    handle, load the data, train a surrogate if one was asked for, and
+    audit. Returns the report, the feature matrix, the surrogate's
+    fidelity (None without one) and the schema."""
     try:
         transforms = parse_transforms(args.transforms)
         target_mode, target_col = parse_target(args.target)
@@ -190,10 +192,7 @@ def _prepare_audit_inputs(args, parser: argparse.ArgumentParser):
                 f"--ridge-lambda must be finite and >= 0, got {args.ridge_lambda}"
             )
         if args.model is not None:
-            command = tuple(shlex.split(args.model))
-            if not command:
-                raise ValueError("--model command is empty")
-            spec = SubprocessSpec(command, timeout=args.timeout)
+            handle = SubprocessModel(shlex.split(args.model), timeout=args.timeout)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -214,15 +213,15 @@ def _prepare_audit_inputs(args, parser: argparse.ArgumentParser):
     notes: tuple[str, ...] = ()
     if args.surrogate:
         fit = train_surrogate(X, y, args.surrogate, lam=args.ridge_lambda, seed=seed)
-        handle = fit.handle
-        fidelity = fit.fidelity
+        handle, fidelity = fit.handle, fit.fidelity
+        # The recorded target trained the stand-in; the audit scores the
+        # stand-in against its own captured outputs.
+        y = None
         if isinstance(fit.model, LogisticModel) and not fit.model.converged:
             notes = (
                 f"logistic surrogate did not converge in {fit.model.iterations} "
                 "iterations; the audit describes a stand-in that may fit poorly",
             )
-    else:
-        handle = SubprocessModel(spec, feature_names=X.names)
 
     cfg = AuditConfig(
         metric=metric,
@@ -233,7 +232,8 @@ def _prepare_audit_inputs(args, parser: argparse.ArgumentParser):
         seed=seed,
         check_repeatability=args.check_repeatability,
     )
-    return X, y, handle, fidelity, notes, schema, cfg
+    report = rank_all(handle, X, cfg, y=y)
+    return replace(report, warnings=notes + report.warnings), X, fidelity, schema
 
 
 def cmd_audit(args, parser: argparse.ArgumentParser) -> int:
@@ -241,18 +241,14 @@ def cmd_audit(args, parser: argparse.ArgumentParser) -> int:
     unknown = formats - {"json", "csv", "svg"}
     if unknown:
         parser.error(f"unknown --format values: {sorted(unknown)}")
-    X, y, handle, fidelity, notes, schema, cfg = _prepare_audit_inputs(args, parser)
+    report, _X, fidelity, schema = _run_audit(args, parser)
     if args.surrogate:
-        # The recorded target trained the stand-in; the audit itself follows
-        # the captured policy against the stand-in's own outputs.
-        y, target_policy = None, "captured(surrogate)"
+        target_policy = "captured(surrogate)"
         model_descriptor = f"surrogate:{args.surrogate}"
     else:
         target_policy = args.target
         model_descriptor = f"subprocess:{args.model}"
 
-    report = rank_all(handle, X, cfg, y=y)
-    report = replace(report, warnings=notes + report.warnings)
     doc = build_document(
         report,
         target_policy=target_policy,
@@ -305,12 +301,9 @@ def cmd_synth(args, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_validate(args, parser: argparse.ArgumentParser) -> int:
-    X, y, handle, _fidelity, notes, _schema, cfg = _prepare_audit_inputs(args, parser)
-
-    # Both routes score against the same reference target: the recorded
-    # column, or the output that rank_all captures with its first query.
-    report = rank_all(handle, X, cfg, y=y)
-    report = replace(report, warnings=notes + report.warnings)
+    # The refit oracle fits the target the audit scored against: the
+    # recorded column, or the output that rank_all captured.
+    report, X, _fidelity, _schema = _run_audit(args, parser)
     loco = loco_refit_importances(X, report.target, lam=args.ridge_lambda)
 
     names = [e.name for e in report.entries if e.error is None]

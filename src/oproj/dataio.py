@@ -230,7 +230,9 @@ def load_csv(
     lexicographically. Missing cells and unparseable numerics are hard
     errors naming the row and column; duplicate headers are rejected, and
     so is a schema naming a column the header lacks, before any row is
-    parsed. A UTF-8 byte-order mark before the header is skipped. Returns the
+    parsed. A line the csv module cannot read, such as one holding a cell
+    over its field size limit, is a DataError naming the file and the line.
+    A UTF-8 byte-order mark before the header is skipped. Returns the
     feature matrix and the target vector when the schema declares a target
     column.
 
@@ -270,6 +272,8 @@ def load_csv(
     except UnicodeDecodeError:
         _check_utf8(path, DataError)
         raise
+    except csv.Error as exc:
+        raise DataError(f"cannot read {path} at line {reader.line_num}: {exc}") from None
     if rows is not None and not rows:
         raise DataError(f"{path} has a header but no data rows")
 

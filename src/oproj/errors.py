@@ -42,7 +42,7 @@ class SingularSystemError(OprojError):
 
 
 class NonFiniteFitError(OprojError):
-    """A surrogate's normal equations or fit overflow float64."""
+    """A surrogate's normal equations, fit or held-out r² overflow float64."""
 
 
 class AdapterError(OprojError):

@@ -274,12 +274,20 @@ def orthonormalize(rows: np.ndarray) -> ProjectionBasis:
     )
 
 
-def _audited_index(X: FeatureMatrix, current: str, out: np.ndarray) -> int:
+def _audited_index(
+    X: FeatureMatrix,
+    current: str,
+    out: np.ndarray,
+    scale: np.ndarray | None,
+    offset: np.ndarray | None,
+) -> int:
     idx = X.index(current)
     if X.k == 1:
         raise DimensionError("cannot transform a single-column matrix; nothing remains")
     if out.shape != X.data.shape or not out.flags.c_contiguous:
         raise DimensionError(f"out must be a C-order {X.n} x {X.k} array")
+    if (scale is None) != (offset is None):
+        raise DimensionError("the back-map needs both scale and offset, or neither")
     return idx
 
 
@@ -333,11 +341,12 @@ def transform_against_feature(
 ) -> None:
     """Project every column of X onto the orthogonal complement of
     span(basis), into the same column of ``out``, a C-order n x k array,
-    then map it back as ``out * scale + offset`` when ``scale`` is given.
+    then map it back as ``out * scale + offset`` when ``scale`` and
+    ``offset`` are given; one without the other raises DimensionError.
     Column ``current`` gets its own projection, which the caller
     overwrites.
     """
-    _audited_index(X, current, out)
+    _audited_index(X, current, out, scale, offset)
     if basis.array.shape[0] != X.n:
         raise DimensionError(f"basis length {basis.array.shape[0]} does not match {X.n} rows")
     B = basis.array
@@ -363,7 +372,7 @@ def transform_against_vector(
     transformation; the basis route reduces to it when no nonlinear
     companions are enabled.
     """
-    idx = _audited_index(X, current, out)
+    idx = _audited_index(X, current, out, scale, offset)
     u = X.data[:, idx]
     with np.errstate(over="ignore"):
         uu = float(np.dot(u, u))

@@ -292,8 +292,9 @@ def train_surrogate(
     """Fit a stand-in on a seeded 80/20 split and score it on the holdout.
 
     The audited model is the train-split fit, so the fidelity rows stay
-    untouched by fitting. Like rank_all, it runs with numpy's OpenBLAS on
-    one thread.
+    untouched by fitting. A held-out r² beyond float64 range raises
+    NonFiniteFitError. Like rank_all, it runs with numpy's OpenBLAS on one
+    thread.
     """
     if family not in ("ridge", "logistic"):
         raise ValueError(f"unknown surrogate family '{family}'")
@@ -313,6 +314,11 @@ def train_surrogate(
     if family == "ridge":
         model: RidgeModel | LogisticModel = fit_ridge(X_train, y[train_rows], lam)
         fidelity_value = _r_squared(y[hold_rows], model.predict(X_hold))
+        if not math.isfinite(fidelity_value):
+            raise NonFiniteFitError(
+                f"the surrogate's held-out r² is {fidelity_value}, beyond float64 "
+                "range; rescale the data or the target"
+            )
         kind = "r2"
     else:
         model = fit_logistic(X_train, y[train_rows])

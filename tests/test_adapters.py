@@ -14,7 +14,6 @@ from conftest import fixture_command, needs_proc, process_gone
 from oproj.adapters import (
     InProcessModel,
     SubprocessModel,
-    SubprocessSpec,
     format_matrix_csv,
     parse_prediction_lines,
 )
@@ -37,9 +36,8 @@ def matrix(data, names=None):
     return FeatureMatrix.from_arrays(names, data)
 
 
-def subprocess_model(script, *args, timeout=30.0, **kwargs):
-    command = tuple(fixture_command(script).split() + list(args))
-    return SubprocessModel(SubprocessSpec(command, timeout=timeout), **kwargs)
+def subprocess_model(script, *args, timeout=30.0):
+    return SubprocessModel(fixture_command(script).split() + list(args), timeout=timeout)
 
 
 class TestInProcessModel:
@@ -47,12 +45,6 @@ class TestInProcessModel:
         m = matrix([[1.0], [2.0], [3.0]])
         h = InProcessModel(lambda a: a[:, 0])
         np.testing.assert_array_equal(h.predict_batch(m), [1, 2, 3])
-
-    def test_feature_name_mismatch(self):
-        m = matrix([[1.0, 2.0], [3.0, 4.0]], names=["a", "b"])
-        h = InProcessModel(lambda a: a[:, 0], feature_names=["b", "a"])
-        with pytest.raises(AdapterError, match="expects columns"):
-            h.predict_batch(m)
 
     def test_wrong_output_length(self):
         m = matrix([[1.0], [2.0]])
@@ -371,7 +363,7 @@ class TestSubprocessModel:
         pidfile = tmp_path / "grandchild.pid"
         hang = f"{shlex.quote(sys.executable)} -c 'import time; time.sleep(60)'"
         script = f"{hang} & echo $! > {shlex.quote(str(pidfile))}; wait"
-        h = SubprocessModel(SubprocessSpec(("sh", "-c", script), timeout=1.0))
+        h = SubprocessModel(("sh", "-c", script), timeout=1.0)
         with pytest.raises(ModelTimeoutError):
             h.predict_batch(matrix([[1.0], [2.0]]))
         pid = int(pidfile.read_text())
@@ -409,13 +401,13 @@ class TestSubprocessModel:
             h.predict_batch(matrix([[1.0], [2.0]]))
 
     def test_model_killed_by_a_signal_names_it(self):
-        h = SubprocessModel(SubprocessSpec(("sh", "-c", "kill -9 $$")))
+        h = SubprocessModel(("sh", "-c", "kill -9 $$"))
         with pytest.raises(ModelExitError, match=r"was killed by signal 9 \(SIGKILL\)$"):
             h.predict_batch(matrix([[1.0], [2.0]]))
 
     def test_missing_executable(self):
         m = matrix([[1.0], [2.0]])
-        h = SubprocessModel(SubprocessSpec(("/no/such/model-binary",)))
+        h = SubprocessModel(("/no/such/model-binary",))
         with pytest.raises(AdapterError, match="no/such/model-binary"):
             h.predict_batch(m)
 
@@ -426,7 +418,7 @@ class TestSubprocessModel:
     )  # fmt: skip
     def test_spec_refuses_a_budget_that_cannot_work(self, field, value):
         with pytest.raises(ValueError, match=field):
-            SubprocessSpec(("model",), **{field: value})
+            SubprocessModel(("model",), **{field: value})
 
 
 class TestCaptureOutputs:

@@ -198,6 +198,33 @@ def test_unusable_path_ends_as_an_oproj_message(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "line, text, cause",
+    [
+        (2, "1" + "0" * 200_000 + ",1.0,2.0", "hostile.csv at line 3: field larger than"),
+        (0, "a" * 200_000 + ",b,target", "hostile.csv at line 1: field larger than"),
+        (2, "1.0,2\x00.0,3.0", "row 2, column 'b'"),
+        (2, '1.0,"2.0,3.0', "row 2 has 2 cells"),
+        (2, "1.0,2.0", "row 2 has 2 cells"),
+    ],
+    ids=["oversized-cell", "oversized-header", "nul-byte", "unterminated-quote", "ragged-row"],
+)
+def test_hostile_csv_ends_as_an_oproj_message(tmp_path, capsys, line, text, cause):
+    lines = ["a,b,target"] + [f"{i}.5,{i}.25,{i}.0" for i in range(1, 6)]
+    lines[line] = text
+    data = tmp_path / "hostile.csv"
+    data.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    argv = ["audit", "--data", str(data), "--surrogate", "ridge",
+            "--target", "column:target", "--out", str(out)]  # fmt: skip
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("oproj: error:")
+    assert cause in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 class TestAudit:
     def test_end_to_end_json(self, tmp_path):
         data = synth(tmp_path)
@@ -547,6 +574,41 @@ class TestAudit:
         fidelity = json.loads((out / "report.json").read_text())["surrogate_fidelity"]
         assert fidelity["value"] == pytest.approx(1.0 - 40.0 / 39.0, rel=1e-12)
 
+    def test_ridge_surrogate_fidelity_beyond_float64_exit_1_without_report(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # Row 105, the seed-0 split's first holdout row, holds x = 1e155:
+        # the held-out r² is below -1e308, so the fit is refused before any
+        # audit query.
+        data = np.random.default_rng(1).standard_normal((200, 2))
+        target = data.sum(axis=1)
+        data[105, 0] = 1e155
+        lines = ["x,z,target"] + [
+            f"{x!r},{z!r},{t!r}" for (x, z), t in zip(data.tolist(), target.tolist())
+        ]
+        csv = tmp_path / "holdout_outlier.csv"
+        csv.write_text("\n".join(lines) + "\n")
+
+        def no_audit(*args, **kwargs):
+            raise AssertionError("the audit ran")
+
+        monkeypatch.setattr("oproj.cli.rank_all", no_audit)
+        out = tmp_path / "out"
+        code = main(
+            [
+                "audit",
+                "--data", str(csv),
+                "--surrogate", "ridge",
+                "--target", "column:target",
+                "--out", str(out),
+            ]
+        )  # fmt: skip
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("oproj: error:")
+        assert "held-out r² is -inf" in err
+        assert not (out / "report.json").exists()
+
     def test_categorical_schema_groups(self, tmp_path):
         csv = tmp_path / "cat.csv"
         rng = np.random.default_rng(0)
@@ -686,7 +748,8 @@ class TestAudit:
         assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize(
-        "flag, value", [("--format", "pdf"), ("--seed", "-1")]
+        "flag, value",
+        [("--format", "pdf"), ("--seed", "-1"), ("--timeout", "0"), ("--model", " ")],
     )  # fmt: skip
     def test_usage_error_exit_2_before_data_is_read(self, tmp_path, capsys, flag, value):
         # The data file does not exist: a check that ran after the load
@@ -824,6 +887,23 @@ class TestValidate:
         lines = capsys.readouterr().out.splitlines()
         assert lines[1].split()[0] == "x1"
         assert lines[-1] == "spearman=n/a (fewer than two scored features)"
+
+    def test_surrogate_deltas_equal_the_audit_report(self, tmp_path, capsys):
+        # Both commands score a surrogate against its own captured outputs.
+        data = synth(
+            tmp_path,
+            "n=1000\ncoefficients=3,1,0.5\nnoise_sd=0.5\nseed=6\ncorr=x1,x2,0.6\n",
+        )
+        flags = ["--data", str(data), "--surrogate", "ridge", "--target", "column:target",
+                 "--seed", "6"]  # fmt: skip
+        out = tmp_path / "out"
+        assert main(["audit", *flags, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["validate", *flags]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:-1]
+        printed = {row.split()[0]: row.split()[1] for row in rows}
+        entries = json.loads((out / "report.json").read_text())["entries"]
+        assert printed == {e["name"]: f"{e['raw_delta']:.6g}" for e in entries}
 
     def test_correlated_design_divergence_documented(self, tmp_path, capsys):
         # Strong collinearity: the projection audit charges x2 for variance

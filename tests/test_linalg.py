@@ -469,6 +469,19 @@ class TestTransformAgainstVector:
         np.testing.assert_allclose(out[:, 1], [0, 1, 0], atol=1e-15)
 
 
+@pytest.mark.parametrize("route", ["feature", "vector"])
+@pytest.mark.parametrize("half", ["scale", "offset"])
+def test_half_a_back_map_is_refused(rng, route, half):
+    # A lone offset used to be ignored, and a lone scale to end in a
+    # numpy UFuncTypeError.
+    m = FeatureMatrix.from_arrays(["a", "b"], rng.standard_normal((10, 2)))
+    out = np.empty((10, 2))
+    args = (orthonormalize(own(m, "a")),) if route == "feature" else ()
+    transform = transform_against_feature if route == "feature" else transform_against_vector
+    with pytest.raises(DimensionError, match="both scale and offset"):
+        transform(m, "a", *args, out, **{half: np.ones(2)})
+
+
 @needs_openblas
 @pytest.mark.usefixtures("two_blas_threads")
 class TestOneBlasThread:

@@ -6,9 +6,10 @@ The golden report covers only the default configuration; this fixture
 pins the arithmetic of every other route through the audit, so a refactor
 of the projection path must keep each delta to the last bit.
 
-The matrices stay small (n <= 3000) because OpenBLAS splits larger dot
-products across threads, which changes their last bits with the thread
-count. To regenerate the fixture after a deliberate change of arithmetic:
+The matrices stay small (n <= 3000) to keep the test fast. Their bits do
+not depend on the BLAS thread count at any size, because rank_all runs
+numpy's OpenBLAS on one thread. To regenerate the fixture after a
+deliberate change of arithmetic:
 
     PYTHONPATH=src python3 tests/test_rank_all_bits.py
 """

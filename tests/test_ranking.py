@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import oproj.ranking as ranking
 from conftest import FIXTURES, fixture_command, needs_openblas, needs_proc, process_gone
-from oproj.adapters import InProcessModel, SubprocessModel, SubprocessSpec
+from oproj.adapters import InProcessModel, SubprocessModel
 from oproj.dataio import standardize
 from oproj.errors import (
     AdapterError,
@@ -462,7 +462,7 @@ class TestRankAll:
 
     def test_non_utf8_reply_flags_only_its_feature(self, rng):
         command = (*fixture_command("misbehaving_model.py").split(), "binary", "x2")
-        h = SubprocessModel(SubprocessSpec(command))
+        h = SubprocessModel(command)
         report = rank_all(h, matrix(rng.standard_normal((20, 3))), AuditConfig())
         error = report.entry("x2").error
         assert error is not None and "row 0" in error and "unparseable" in error
@@ -623,7 +623,7 @@ class TestRankAll:
             )
         else:
             command = (*fixture_command("misbehaving_model.py").split(), "constant", "x2")
-            model = SubprocessModel(SubprocessSpec(command))
+            model = SubprocessModel(command)
         report = rank_all(model, matrix(data), cfg, y=y)
         assert report.entry("x2").error.startswith("feature 'x2': ")
         assert [e.name for e in report.entries if e.error is not None] == ["x2"]
@@ -783,7 +783,7 @@ class TestLookahead:
     def test_failing_feature_flagged_and_rest_match_sequential(self, monkeypatch, rng):
         m = matrix(rng.standard_normal((50, 4)))
         command = (*fixture_command("misbehaving_model.py").split(), "constant", "x3")
-        h = SubprocessModel(SubprocessSpec(command))
+        h = SubprocessModel(command)
         cfg = AuditConfig()
 
         def sequential(a):  # answers inside launch, so each query runs alone
@@ -807,7 +807,7 @@ class TestLookahead:
         fixture = str(FIXTURES / "misbehaving_model.py")
         model = shlex.join([sys.executable, fixture, "stall", "x1,x2"])
         script = f"echo $$ >> {shlex.quote(str(pidfile))}; exec {model}"
-        h = SubprocessModel(SubprocessSpec(("sh", "-c", script), timeout=60.0))
+        h = SubprocessModel(("sh", "-c", script), timeout=60.0)
         build = ranking._removal_basis
 
         def failing_third_build(prepared, current, cfg):
@@ -861,7 +861,7 @@ class TestLookahead:
         # x1's and x2's models run side by side; x1's stalls past its
         # budget while x2's answers.
         command = (*fixture_command("misbehaving_model.py").split(), "stall", "x1")
-        h = SubprocessModel(SubprocessSpec(command, timeout=2.0))
+        h = SubprocessModel(command, timeout=2.0)
         monkeypatch.setattr(ranking, "_model_width", lambda: 2)
         report = rank_all(h, matrix(rng.standard_normal((20, 3))), AuditConfig())
         error = report.entry("x1").error
@@ -874,7 +874,7 @@ class TestLookahead:
         # budget. x1 is collected after its deadline and must still score;
         # its reply is larger than a pipe buffer.
         command = tuple(fixture_command("linear_model.py").split())
-        h = SubprocessModel(SubprocessSpec(command, timeout=2.0))
+        h = SubprocessModel(command, timeout=2.0)
         build = ranking._build_query
 
         def slow_second_build(prepared, current, basis, cfg):

@@ -373,6 +373,16 @@ class TestTrainSurrogate:
         # rather than a finite value that SS_tot underflowing would give.
         assert _r_squared(np.array(y), np.array(pred)) == pytest.approx(expected, rel=1e-12)
 
+    def test_held_out_r_squared_beyond_float64_is_refused(self):
+        # Row 105 is the seed-0 split's first holdout row; the fit's
+        # prediction there is near 1e155, so its squared error overflows
+        # even on the rows divided by y's peak, and r² reads -inf.
+        data = np.random.default_rng(1).standard_normal((200, 2))
+        y = data.sum(axis=1)
+        data[105, 0] = 1e155
+        with pytest.raises(NonFiniteFitError, match="held-out r² is -inf"):
+            train_surrogate(matrix(data), y, "ridge", seed=0)
+
     def test_unknown_family(self, rng):
         X = matrix(rng.standard_normal((20, 1)))
         with pytest.raises(ValueError, match="family"):
