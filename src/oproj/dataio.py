@@ -220,6 +220,20 @@ def _parse_number_blocks(path: Path, header_lines: int, width: int) -> np.ndarra
     return data
 
 
+def _refuse_line_breaks(
+    row: list[str], cols: Sequence[int], r: int, header: list[str]
+) -> None:
+    for j in cols:
+        if "\n" in row[j] or "\r" in row[j]:
+            h = header[j] if j < len(header) else f"#{j + 1}"
+            raise DataError(
+                f"row {r}, column '{h}' runs over a line break; a closing quote "
+                "may be missing",
+                row=r,
+                column=h,
+            )
+
+
 def load_csv(
     path: str | Path, schema: DatasetSchema | None = None
 ) -> tuple[FeatureMatrix, np.ndarray | None]:
@@ -232,6 +246,9 @@ def load_csv(
     so is a schema naming a column the header lacks, before any row is
     parsed. A line the csv module cannot read, such as one holding a cell
     over its field size limit, is a DataError naming the file and the line.
+    A numeric or target cell, or any cell of a ragged row, that runs over
+    a line break (a quoted field whose closing quote is likely missing) is
+    a DataError naming its row and column.
     A UTF-8 byte-order mark before the header is skipped. Returns the
     feature matrix and the target vector when the schema declares a target
     column.
@@ -260,15 +277,14 @@ def load_csv(
             if missing:
                 raise DataError(f"{path} has no columns named {missing}")
             specs = [schema.spec_for(h) for h in header]
-            bulk = _parse_number_blocks(path, reader.line_num, len(header))
+            one_hot = [s.role == "feature" and s.kind == "categorical" for s in specs]
+            header_lines = reader.line_num
+            bulk = _parse_number_blocks(path, header_lines, len(header))
             if bulk is not None and not np.isfinite(bulk).all():
                 bulk = None
             # Categorical cells, and every cell when the blocks decline, go
             # through the csv module.
-            text_needed = bulk is None or any(
-                s.role == "feature" and s.kind == "categorical" for s in specs
-            )
-            rows = list(reader) if text_needed else None
+            rows = list(reader) if bulk is None or any(one_hot) else None
     except UnicodeDecodeError:
         _check_utf8(path, DataError)
         raise
@@ -277,8 +293,20 @@ def load_csv(
     if rows is not None and not rows:
         raise DataError(f"{path} has a header but no data rows")
 
+    # A cell holding CR or LF comes from a quoted field that spans lines.
+    # The reader then reads more lines than rows, or, when the field runs
+    # to the end of the file, leaves the line end in the last row. Such a
+    # cell is refused in a ragged row and in a numeric or target column.
+    spans_lines = bool(rows) and (
+        reader.line_num - header_lines > len(rows)
+        or any("\n" in c or "\r" in c for c in rows[-1])
+    )
+    numeric = [j for j, s in enumerate(specs) if s.role != "ignore" and not one_hot[j]]
     for r, row in enumerate(rows or (), start=1):
-        if len(row) != len(header):
+        ragged = len(row) != len(header)
+        if spans_lines:
+            _refuse_line_breaks(row, range(len(row)) if ragged else numeric, r, header)
+        if ragged:
             raise DataError(
                 f"row {r} has {len(row)} cells, expected {len(header)}", row=r
             )
@@ -292,7 +320,7 @@ def load_csv(
     for j, (h, spec) in enumerate(zip(header, specs)):
         if spec.role == "ignore":
             continue
-        if spec.role == "feature" and spec.kind == "categorical":
+        if one_hot[j]:
             cells = [c.strip() for c in raw_columns[h]]
             if "" in cells:
                 r = cells.index("") + 1

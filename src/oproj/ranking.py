@@ -1,18 +1,21 @@
 """Per-feature audit loop: transform, re-query, measure, rank.
 
-For each audited feature the engine builds a removal subspace (the feature
-plus its enabled nonlinear transforms), projects every other column onto its
-orthogonal complement, re-inserts the audited column as a constant so the
-model still sees k columns in the original order, queries the model once,
-and records |baseline - new| as that feature's dependence.
+For each audited feature a worker thread builds its removal one feature
+ahead: the projection of every other column onto the orthogonal complement
+of the feature's subspace (the feature plus its enabled nonlinear
+transforms). The engine applies it, re-inserts the audited column as a
+constant so the model still sees k columns in the original order, queries
+the model once, and records |baseline - new| as that feature's dependence.
 """
 
 from __future__ import annotations
 
 import os
 from collections import deque
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -27,7 +30,6 @@ from .errors import (
 )
 from .linalg import (
     FeatureMatrix,
-    ProjectionBasis,
     one_blas_thread,
     orthonormalize,
     transform_against_feature,
@@ -140,18 +142,6 @@ class DependenceReport:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
-class _Prepared:
-    """Original matrix plus the (possibly standardized) projection space.
-    ``offset`` and ``scale`` map the projection space back to native scale,
-    and are None when the audit runs unstandardized."""
-
-    raw: FeatureMatrix
-    audit: FeatureMatrix
-    offset: np.ndarray | None
-    scale: np.ndarray | None
-
-
 def _replacement_value(raw_column: np.ndarray, cfg: AuditConfig) -> float:
     if cfg.replacement == "mean":
         return float(np.mean(raw_column))
@@ -160,53 +150,30 @@ def _replacement_value(raw_column: np.ndarray, cfg: AuditConfig) -> float:
     return float(cfg.replacement_value)
 
 
-def _removal_basis(
-    prepared: _Prepared, current: str, cfg: AuditConfig
-) -> ProjectionBasis | None:
-    """The orthonormal basis of the subspace that removes ``current``; None
-    when ``current``'s own column spans it, or when no other column is left
-    to project.
-
-    rank_all builds each feature's basis on a worker thread while the
-    feature before it is projected, queried and scored.
+def _removal(
+    audit: FeatureMatrix, current: str, cfg: AuditConfig, scale, offset
+) -> tuple[Callable[[np.ndarray], None], int]:
+    """``(project, dropped_count)``: ``project(query)`` writes every column
+    of ``audit`` but ``current`` into the n x k ``query``, projected off
+    ``current``'s removal subspace and mapped back to the model's native
+    scale (``scale`` and ``offset`` are None when the audit runs
+    unstandardized); the caller overwrites column ``current``. rank_all
+    calls this on a worker thread, one feature ahead.
     """
-    audit = prepared.audit
     if np.ptp(audit.data[:, audit.index(current)]) == 0.0:
         raise DegenerateFeatureError("the column is constant and cannot be audited")
     if audit.k == 1:
-        return None
+        return (lambda query: None), 0
+    back = {"scale": scale, "offset": offset}
     candidates = build_removal_candidates(audit, current, cfg.transforms)
     if len(candidates) == 1:
-        return None
-    return orthonormalize(candidates)
-
-
-def _build_query(
-    prepared: _Prepared, current: str, basis: ProjectionBasis | None, cfg: AuditConfig
-) -> np.ndarray:
-    """The query that removes ``current``, given its removal basis: a fresh
-    row-major n x k array, in the layout the model reads.
-
-    The other columns are projected off the removal subspace and mapped
-    back to the model's native scale; the audited column becomes a
-    constant carrying no information. The query is the only n x k array
-    built here.
-    """
-    audit, raw = prepared.audit, prepared.raw
-    idx = audit.index(current)
-    query = np.empty((raw.n, raw.k))
-    if raw.k > 1:
-        if basis is None:
-            # Pure linear removal: identical arithmetic to projecting
-            # against the raw vector, so transform-free runs reduce
-            # exactly to the single-vector algorithm.
-            transform_against_vector(audit, current, query, prepared.scale, prepared.offset)
-        else:
-            transform_against_feature(
-                audit, current, basis, query, prepared.scale, prepared.offset
-            )
-    query[:, idx] = _replacement_value(raw.data[:, idx], cfg)
-    return query
+        # Pure linear removal: identical arithmetic to projecting against
+        # the raw vector, so transform-free runs reduce exactly to the
+        # single-vector algorithm.
+        return partial(transform_against_vector, audit, current, **back), 0
+    basis = orthonormalize(candidates)
+    project = partial(transform_against_feature, audit, current, basis, **back)
+    return project, basis.dropped_count
 
 
 # What a feature's audit flags instead of aborting the run. Its entry's
@@ -263,9 +230,9 @@ def rank_all(
     The audit runs with numpy's OpenBLAS set to one thread (see
     ``one_blas_thread``), an in-process model's own BLAS calls included, so
     the report has the same bits whatever OPENBLAS_NUM_THREADS is. A
-    worker thread builds feature j+1's removal basis while feature j is
-    projected, queried and scored, one basis at a time; the model is only
-    called on the caller's thread.
+    worker thread builds feature j+1's removal (its basis, or the
+    single-vector route) while feature j is projected, queried and scored,
+    one removal at a time; the model is only called on the caller's thread.
     """
     if y is not None:
         y = np.asarray(y, dtype=np.float64).reshape(-1)
@@ -289,18 +256,15 @@ def rank_all(
             f"the baseline metric overflows float64 ({baseline}); rescale the "
             "model's outputs or the target"
         )
-    if cfg.standardize:
-        prepared = _Prepared(X, *standardize(X))
-    else:
-        prepared = _Prepared(raw=X, audit=X, offset=None, scale=None)
+    audit, offset, scale = standardize(X) if cfg.standardize else (X, None, None)
 
     # Lookahead: up to _model_width() launched queries are in flight.
     # Feature j+1's query is built while their models answer; when the
     # flight is full its oldest query is collected and scored before j+1's
     # is encoded and launched, so replies are scored in launch order. An
     # in-process model answers inside launch, so its flight holds finished
-    # predictions. The worker builds each removal basis one feature ahead,
-    # and the error it raises for a feature surfaces at that feature's turn.
+    # predictions. The worker builds each feature's removal one feature
+    # ahead, and the error it raises for a feature surfaces at that feature's turn.
     width = _model_width()
     outcomes: list[FeatureResult] = []
     errors: dict[str, str] = {}
@@ -322,24 +286,28 @@ def rank_all(
             errors[previous] = f"feature '{previous}': {exc}"
         flight.popleft()
 
-    def launch(name: str, basis: ProjectionBasis | None) -> None:
+    def launch(name: str, project: Callable[[np.ndarray], None], dropped: int) -> None:
         # A function, so that its query is freed on return and one n x k
-        # query is alive at a time.
-        query = _build_query(prepared, name, basis, cfg)
+        # query is alive at a time. The query is a fresh row-major array,
+        # in the layout the model reads; the audited column becomes a
+        # constant carrying no information.
+        query = np.empty((X.n, X.k))
+        project(query)
+        idx = X.index(name)
+        query[:, idx] = _replacement_value(X.data[:, idx], cfg)
         if len(flight) == width:
             settle_oldest()
-        dropped = 0 if basis is None else basis.dropped_count
         flight.append((name, dropped, model.launch(X.names, query)))
 
     worker = ThreadPoolExecutor(max_workers=1)
     try:
-        ahead = worker.submit(_removal_basis, prepared, X.names[0], cfg)
+        ahead = worker.submit(_removal, audit, X.names[0], cfg, scale, offset)
         for j, name in enumerate(X.names):
             building = ahead
             if j + 1 < X.k:
-                ahead = worker.submit(_removal_basis, prepared, X.names[j + 1], cfg)
+                ahead = worker.submit(_removal, audit, X.names[j + 1], cfg, scale, offset)
             try:
-                launch(name, building.result())
+                launch(name, *building.result())
             except _AUDIT_ERRORS as exc:
                 errors[name] = f"feature '{name}': {exc}"
         while flight:

@@ -3,6 +3,7 @@ import os
 import shlex
 import signal
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import oproj.adapters as adapters
 from conftest import fixture_command, needs_proc, process_gone
 from oproj.adapters import (
     InProcessModel,
@@ -390,6 +392,29 @@ class TestSubprocessModel:
         pid = int(pidfile.stem)
         try:
             assert process_gone(pid), "the model's child outlived its reply"
+        finally:
+            if not process_gone(pid, within=0.0):
+                os.kill(pid, signal.SIGKILL)
+
+    @needs_proc
+    def test_interrupt_while_collecting_kills_the_model_group(self, tmp_path, monkeypatch):
+        h = subprocess_model("misbehaving_model.py", "orphan", str(tmp_path), "ok")
+        running = h.launch(("x1", "x2"), np.array([[1.0, 2.0], [3.0, 4.0]]))
+        deadline = time.monotonic() + 10.0
+        while not list(tmp_path.glob("*.pid")) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        (pidfile,) = tmp_path.glob("*.pid")
+        pid = int(pidfile.stem)
+
+        def interrupted(proc):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(adapters, "_has_exited", interrupted)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                h.collect(running)
+            assert process_gone(pid), "the model's child outlived the interrupt"
+            assert running.proc.returncode is not None, "the model was not reaped"
         finally:
             if not process_gone(pid, within=0.0):
                 os.kill(pid, signal.SIGKILL)

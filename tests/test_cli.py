@@ -15,6 +15,7 @@ import pytest
 import oproj.ranking as ranking
 from conftest import fixture_command, needs_proc, process_gone
 from oproj.cli import main, parse_replacement, parse_target, parse_transforms, resolve_seed
+from oproj.dataio import DatasetSchema, load_csv
 from oproj.transforms import TransformSet
 
 LINEAR_MODEL = fixture_command("linear_model.py")
@@ -93,14 +94,25 @@ class TestParsers:
         assert parse_transforms("all") == TransformSet()
         assert parse_transforms("none") == TransformSet.none()
 
-    def test_transforms_tokens(self):
-        ts = parse_transforms("log,poly2,poly4")
-        assert ts.enable_log and not ts.enable_exp
-        assert ts.poly_degrees == (2, 4)
+    @pytest.mark.parametrize(
+        "spec, log, exp, degrees",
+        [("log,poly2,poly4", True, False, (2, 4)), ("exp", False, True, ())],
+    )
+    def test_transforms_tokens(self, spec, log, exp, degrees):
+        ts = parse_transforms(spec)
+        assert (ts.enable_log, ts.enable_exp, ts.poly_degrees) == (log, exp, degrees)
 
-    def test_transforms_bad_token(self):
-        with pytest.raises(ValueError, match="unknown transform"):
-            parse_transforms("log,wiggle")
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("log,wiggle", "unknown transform token 'wiggle'"),
+            ("polyx", "bad polynomial token 'polyx'"),
+            ("", "empty transform spec"),
+        ],
+    )
+    def test_transforms_bad_token(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            parse_transforms(spec)
 
     def test_transforms_all_combined_rejected(self):
         with pytest.raises(ValueError, match="combined"):
@@ -136,15 +148,38 @@ class TestParsers:
         monkeypatch.setenv("OPROJ_SEED", "-3")
         with pytest.raises(ValueError, match="OPROJ_SEED must be a non-negative"):
             resolve_seed(None)
+        monkeypatch.setenv("OPROJ_SEED", "abc")
+        with pytest.raises(ValueError, match="OPROJ_SEED must be an integer, got 'abc'"):
+            resolve_seed(None)
 
 
 class TestSynth:
-    def test_writes_csv_and_truth(self, tmp_path):
-        out = synth(tmp_path)
+    @pytest.mark.parametrize(
+        "extra, truth_lines",
+        [
+            ("", ["importance_order=x1,x2,x3,x4"]),
+            (
+                "nonlinear=x1,log,0.5\n",
+                [
+                    "nonlinear=x1,log,0.5",
+                    "importance_order=unknown (nonlinear terms present)",
+                ],
+            ),
+        ],
+        ids=["linear", "log-term"],
+    )
+    def test_writes_csv_and_truth(self, tmp_path, extra, truth_lines):
+        out = synth(tmp_path, "n=300\ncoefficients=4,2,1,0\nnoise_sd=0.0\nseed=7\n" + extra)
         header = out.read_text().splitlines()[0]
         assert header == "x1,x2,x3,x4,target"
-        truth = (tmp_path / "data.csv.truth").read_text()
-        assert "importance_order=x1,x2,x3,x4" in truth
+        truth = (tmp_path / "data.csv.truth").read_text().splitlines()
+        assert set(truth_lines) <= set(truth)
+        X, y = load_csv(out, DatasetSchema().with_target("target"))
+        x1 = X.data[:, 0]
+        expected = X.data @ np.array([4.0, 2.0, 1.0, 0.0])
+        if extra:
+            expected += 0.5 * np.log(x1 - x1.min() + 1.0)
+        np.testing.assert_allclose(y, expected, rtol=1e-12, atol=1e-12)
 
     def test_deterministic(self, tmp_path):
         a = synth(tmp_path, name="a.csv").read_bytes()
@@ -204,10 +239,18 @@ def test_unusable_path_ends_as_an_oproj_message(
         (2, "1" + "0" * 200_000 + ",1.0,2.0", "hostile.csv at line 3: field larger than"),
         (0, "a" * 200_000 + ",b,target", "hostile.csv at line 1: field larger than"),
         (2, "1.0,2\x00.0,3.0", "row 2, column 'b'"),
-        (2, '1.0,"2.0,3.0', "row 2 has 2 cells"),
+        (2, '1.0,"2.0,3.0', "row 2, column 'b' runs over a line break; a closing"),
+        (5, '5.5,5.25,"5.0', "row 5, column 'target' runs over a line break; a closing"),
         (2, "1.0,2.0", "row 2 has 2 cells"),
     ],
-    ids=["oversized-cell", "oversized-header", "nul-byte", "unterminated-quote", "ragged-row"],
+    ids=[
+        "oversized-cell",
+        "oversized-header",
+        "nul-byte",
+        "unterminated-quote",
+        "unterminated-quote-last-row",
+        "ragged-row",
+    ],
 )
 def test_hostile_csv_ends_as_an_oproj_message(tmp_path, capsys, line, text, cause):
     lines = ["a,b,target"] + [f"{i}.5,{i}.25,{i}.0" for i in range(1, 6)]

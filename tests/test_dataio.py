@@ -117,10 +117,18 @@ class TestLoadCsv:
         X, _ = load_csv(p, schema)
         assert X.names == ("a",)
 
-    def test_empty_file(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "is empty; a header row is required"),
+            ("a,b\n", "has a header but no data rows"),
+        ],
+        ids=["empty", "header-only"],
+    )
+    def test_empty_file(self, tmp_path, text, message):
         p = tmp_path / "d.csv"
-        p.write_text("")
-        with pytest.raises(DataError, match="header"):
+        p.write_text(text)
+        with pytest.raises(DataError, match=message):
             load_csv(p)
 
     def test_ragged_row(self, tmp_path):
@@ -128,6 +136,31 @@ class TestLoadCsv:
         p.write_text("a,b\n1,2\n3\n")
         with pytest.raises(DataError, match="row 2"):
             load_csv(p)
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ('a,b\n1,"2\n"\n3,4\n', "row 1, column 'b'"),  # closed, in a numeric cell
+            ('a,b\n1,2\n"3,4\n', "row 2, column 'a'"),  # open to the end of the file
+            ('a,b,c\r\n1,"2,3\r\n4,5,6\r\n', "row 1, column 'b'"),  # ragged
+        ],
+        ids=["numeric", "last-row", "ragged-crlf"],
+    )
+    def test_cell_over_a_line_break_names_its_row_and_column(self, tmp_path, text, where):
+        p = tmp_path / "d.csv"
+        p.write_bytes(text.encode())
+        with pytest.raises(DataError, match=f"{where} runs over a line break; a closing"):
+            load_csv(p)
+
+    def test_categorical_and_ignored_cells_may_hold_a_line_break(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text('a,g,note\n1,"x\ny",ok\n2,z,"two\nlines"\n')
+        schema = DatasetSchema(
+            {"g": ColumnSpec(kind="categorical"), "note": ColumnSpec(role="ignore")}
+        )
+        X, _ = load_csv(p, schema)
+        assert X.names == ("a", "g=x\ny", "g=z")
+        np.testing.assert_array_equal(X.data, [[1.0, 1.0, 0.0], [2.0, 0.0, 1.0]])
 
     def test_header_not_utf8_names_file_and_line(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -582,10 +615,15 @@ class TestSchemaFile:
         schema = parse_schema_file(p)
         assert schema.with_target("target").target_column() == "target"
 
-    def test_bad_line(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text, message",
+        [("income\n", "line 1"), ("a=feature\na=ignore\n", "line 2 repeats column 'a'")],
+        ids=["no-role", "repeated-column"],
+    )
+    def test_bad_line(self, tmp_path, text, message):
         p = tmp_path / "schema.txt"
-        p.write_text("income\n")
-        with pytest.raises(DataError, match="line 1"):
+        p.write_text(text)
+        with pytest.raises(DataError, match=message):
             parse_schema_file(p)
 
     def test_not_utf8_names_file_and_line(self, tmp_path):

@@ -114,7 +114,7 @@ def test_every_traced_route_reports_every_declared_layer(tmp_path, monkeypatch):
     X, y, _ = generate_synthetic(SyntheticSpec(n=300, coefficients=(5, 4, 3, 2, 1), seed=3))
     csv = tmp_path / "data.csv"
     save_csv(X, csv, target=y)
-    results = {}
+    traces = {}
 
     rec = spans.Recorder()
     undo, missing = layers.install(rec)
@@ -124,7 +124,7 @@ def test_every_traced_route_reports_every_declared_layer(tmp_path, monkeypatch):
         ranking.rank_all(model, X, ranking.AuditConfig())
     finally:
         layers.uninstall(undo)
-    results["inproc"] = layers.layer_metrics(rec.dump(), missing)
+    traces["inproc"] = (rec.dump(), missing)
 
     model = shlex.join([sys.executable, str(ROOT / "bench" / "model.py"), str(tmp_path / "n")])
     routes = {
@@ -136,7 +136,8 @@ def test_every_traced_route_reports_every_declared_layer(tmp_path, monkeypatch):
         argv = ["audit", "--data", str(csv), *args, "--target", "column:target"]
         assert layers.main([str(spans_file), *argv, "--out", str(tmp_path / route)]) == 0
         dump = json.loads(spans_file.read_text(encoding="utf-8"))
-        results[route] = layers.layer_metrics(dump["trace"], dump["missing"])
+        traces[route] = (dump["trace"], dump["missing"])
+    results = {route: layers.layer_metrics(*trace) for route, trace in traces.items()}
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
     names = [m["name"] for m in declared if m["name"] in layers.LAYER_METRICS]
@@ -153,6 +154,19 @@ def test_every_traced_route_reports_every_declared_layer(tmp_path, monkeypatch):
         for route, metrics in results.items()
     }
     assert counted == {"inproc": (25, 1.0), "surrogate": (5, 1.0), "subprocess": (25, 1.0)}
+    # Each feature's removal is built once and applied once. The surrogate
+    # route has no companions, so it never orthonormalizes.
+    hooked = ("transforms.candidates", "linalg.orthonormalize", "linalg.project")
+    calls = {}
+    for route, (trace, _) in traces.items():
+        counts = trace["counts"]
+        calls[route] = {n: counts[n + ".calls"] for n in hooked if n + ".calls" in counts}
+    every = dict.fromkeys(hooked, 5)
+    assert calls == {
+        "inproc": every,
+        "surrogate": {"transforms.candidates": 5, "linalg.project": 5},
+        "subprocess": every,
+    }
 
 
 def test_dataio_does_not_import_adapters():

@@ -763,13 +763,14 @@ class TestRankAll:
         # candidates, and 20.1 when they were stacked from a list.
         n, c = 5000, 5
         m = matrix(np.random.default_rng(7).standard_normal((n, 8)))
-        prepared = ranking._Prepared(m, *standardize(m))
+        audit, offset, scale = standardize(m)
         tracemalloc.start()
         try:
-            basis = ranking._removal_basis(prepared, "x3", AuditConfig())
+            project, _ = ranking._removal(audit, "x3", AuditConfig(), scale, offset)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        basis = project.args[2]
         assert basis.array.shape == (n, c)
         assert peak < (2 * c + 1) * n * 8
 
@@ -778,7 +779,7 @@ class TestLookahead:
     """rank_all builds feature j+1's query while the models of the queries
     in flight answer, with up to ``_model_width()`` of them in flight, then
     encodes and launches it once the oldest has settled. Its worker thread
-    builds each removal basis one feature ahead."""
+    builds each feature's removal one feature ahead."""
 
     def test_failing_feature_flagged_and_rest_match_sequential(self, monkeypatch, rng):
         m = matrix(rng.standard_normal((50, 4)))
@@ -808,9 +809,9 @@ class TestLookahead:
         model = shlex.join([sys.executable, fixture, "stall", "x1,x2"])
         script = f"echo $$ >> {shlex.quote(str(pidfile))}; exec {model}"
         h = SubprocessModel(("sh", "-c", script), timeout=60.0)
-        build = ranking._removal_basis
+        build = ranking._removal
 
-        def failing_third_build(prepared, current, cfg):
+        def failing_third_build(audit, current, cfg, scale, offset):
             if current == "x3":
                 # On the worker: let x1's and x2's models start before the
                 # build fails.
@@ -818,10 +819,10 @@ class TestLookahead:
                 while len(pidfile.read_text().split()) < 3 and time.monotonic() < deadline:
                     time.sleep(0.01)
                 raise RuntimeError("build failed")
-            return build(prepared, current, cfg)
+            return build(audit, current, cfg, scale, offset)
 
         monkeypatch.setattr(ranking, "_model_width", lambda: 2)
-        monkeypatch.setattr(ranking, "_removal_basis", failing_third_build)
+        monkeypatch.setattr(ranking, "_removal", failing_third_build)
         started = time.monotonic()
         with pytest.raises(RuntimeError, match="build failed"):
             rank_all(h, matrix(rng.standard_normal((20, 3))), AuditConfig())
@@ -875,14 +876,20 @@ class TestLookahead:
         # its reply is larger than a pipe buffer.
         command = tuple(fixture_command("linear_model.py").split())
         h = SubprocessModel(command, timeout=2.0)
-        build = ranking._build_query
+        build = ranking._removal
 
-        def slow_second_build(prepared, current, basis, cfg):
-            if current == "x2":
+        def slow_second_build(audit, current, cfg, scale, offset):
+            project, dropped = build(audit, current, cfg, scale, offset)
+            if current != "x2":
+                return project, dropped
+
+            def slow_project(query):
                 time.sleep(2.5)
-            return build(prepared, current, basis, cfg)
+                project(query)
 
-        monkeypatch.setattr(ranking, "_build_query", slow_second_build)
+            return slow_project, dropped
+
+        monkeypatch.setattr(ranking, "_removal", slow_second_build)
         report = rank_all(h, matrix(rng.standard_normal((4000, 3))), AuditConfig())
         assert [e.error for e in report.entries] == [None, None, None]
 
@@ -938,21 +945,21 @@ class TestBlasThreads:
             assert {count for _, count in seen} == {1}
 
     def test_bases_built_off_the_callers_thread_one_at_a_time(self, monkeypatch, rng):
-        build = ranking._removal_basis
+        build = ranking._removal
         lock, running, seen = threading.Lock(), [0], []
 
-        def tracked_build(prepared, current, cfg):
+        def tracked_build(audit, current, cfg, scale, offset):
             with lock:
                 running[0] += 1
                 seen.append((threading.get_ident(), running[0]))
             time.sleep(0.01)
             try:
-                return build(prepared, current, cfg)
+                return build(audit, current, cfg, scale, offset)
             finally:
                 with lock:
                     running[0] -= 1
 
-        monkeypatch.setattr(ranking, "_removal_basis", tracked_build)
+        monkeypatch.setattr(ranking, "_removal", tracked_build)
         m = matrix(rng.standard_normal((60, 4)))
         h = InProcessModel(lambda a: a @ np.array([2.0, 1.0, 0.5, 0.25]))
         report = rank_all(h, m, AuditConfig())

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oproj.surrogate as surrogate
 from oproj.adapters import InProcessModel
 from oproj.errors import NonFiniteFitError, SingularSystemError
 from oproj.linalg import FeatureMatrix
@@ -218,6 +219,27 @@ class TestFitLogistic:
         model = fit_logistic(matrix(X), y)
         losses = np.array(model.losses)
         assert np.all(np.diff(losses) <= 1e-12)
+
+    def test_step_that_raises_the_loss_is_halved(self, monkeypatch):
+        # Cubed features put a few points far out, where the Newton step's
+        # quadratic model is poor: the 11th full step raises the loss from
+        # 0.0718 to 0.0906, and its half is taken instead.
+        rng = np.random.default_rng(415)
+        n, k = rng.integers(3, 40), rng.integers(1, 3)  # 16 and 2
+        X = rng.standard_normal((n, k)) ** 3
+        y = (X[:, 0] + rng.standard_normal(n) > 0).astype(float)
+        log_loss, calls = surrogate._log_loss, [0]
+
+        def counted(y, p):
+            calls[0] += 1
+            return log_loss(y, p)
+
+        monkeypatch.setattr(surrogate, "_log_loss", counted)
+        model = fit_logistic(matrix(X), y)
+        assert model.converged
+        assert np.all(np.diff(model.losses) <= 0.0)
+        # One loss per accepted step, plus one per rejected step.
+        assert calls[0] > model.iterations
 
     @pytest.mark.parametrize("extra", ["constant", "duplicate"])
     def test_constant_or_duplicated_column_converges(self, rng, extra):
