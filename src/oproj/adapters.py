@@ -136,6 +136,51 @@ class InProcessModel(ModelHandle):
         return _validated(*running)
 
 
+def _design(X: FeatureMatrix | np.ndarray) -> np.ndarray:
+    arr = X.as_array() if isinstance(X, FeatureMatrix) else np.asarray(X, dtype=np.float64)
+    if arr.ndim != 2:
+        raise DimensionError(f"expected a 2-D design, got shape {arr.shape}")
+    return arr
+
+
+@dataclass(frozen=True)
+class LinearModel(ModelHandle):
+    """A model that predicts ``link(rows @ coefficients + intercept)``,
+    with the identity as its link unless a subclass says otherwise.
+
+    It answers a query in ``launch``, on the caller's thread, as an
+    InProcessModel does. Because its prediction is linear in the columns
+    up to the link, rank_all audits it on each feature's linear predictor
+    rather than on an n x k query per feature.
+    """
+
+    coefficients: np.ndarray
+    intercept: float
+
+    @staticmethod
+    def link(eta: np.ndarray) -> np.ndarray:
+        return eta
+
+    def predict(self, X: FeatureMatrix | np.ndarray) -> np.ndarray:
+        return self.link(_design(X) @ self.coefficients + self.intercept)
+
+    def respond(self, eta: np.ndarray) -> tuple[np.ndarray, int]:
+        """Answer a query given its linear predictor ``eta`` in place of
+        its rows; ``collect`` takes what this returns, as it takes what
+        ``launch`` returns."""
+        return self.link(eta), eta.shape[0]
+
+    def _start(self, names: tuple[str, ...], rows: np.ndarray) -> tuple[np.ndarray, int]:
+        if len(names) != self.coefficients.shape[0]:
+            raise DimensionError(
+                f"{len(names)} columns for a model of {self.coefficients.shape[0]}"
+            )
+        return self.respond(rows @ self.coefficients + self.intercept)
+
+    def collect(self, running: tuple[np.ndarray, int]) -> np.ndarray:
+        return _validated(*running)
+
+
 def parse_prediction_lines(reply: bytes, expected_rows: int) -> np.ndarray:
     """Parse stdout from a model process: one decimal per line, exactly
     ``expected_rows`` of them (trailing blank lines tolerated). A line that

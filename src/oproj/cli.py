@@ -213,7 +213,7 @@ def _run_audit(args, parser: argparse.ArgumentParser):
     notes: tuple[str, ...] = ()
     if args.surrogate:
         fit = train_surrogate(X, y, args.surrogate, lam=args.ridge_lambda, seed=seed)
-        handle, fidelity = fit.handle, fit.fidelity
+        handle, fidelity = fit.model, fit.fidelity
         # The recorded target trained the stand-in; the audit scores the
         # stand-in against its own captured outputs.
         y = None

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from itertools import chain, groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import BinaryIO, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 import orjson
@@ -220,6 +220,15 @@ def _parse_number_blocks(path: Path, header_lines: int, width: int) -> np.ndarra
     return data
 
 
+def _ended_lines(lines: Iterable[str]) -> Iterator[str]:
+    """The lines, with a line break put after the last one when the file
+    ends without one. The csv module then reads a quote left open on the
+    last line into its cell, line break and all, as it reads one left open
+    on an earlier line; at the end of the file it would close the quote."""
+    for line in lines:
+        yield line if line.endswith(("\n", "\r")) else line + "\n"
+
+
 def _refuse_line_breaks(
     row: list[str], cols: Sequence[int], r: int, header: list[str]
 ) -> None:
@@ -264,7 +273,7 @@ def load_csv(
     path = Path(path)
     try:
         with path.open(newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
+            reader = csv.reader(_ended_lines(fh))
             try:
                 header = next(reader)
             except StopIteration:
@@ -295,8 +304,9 @@ def load_csv(
 
     # A cell holding CR or LF comes from a quoted field that spans lines.
     # The reader then reads more lines than rows, or, when the field runs
-    # to the end of the file, leaves the line end in the last row. Such a
-    # cell is refused in a ragged row and in a numeric or target column.
+    # to the end of the file, leaves the line end in the last row, also
+    # where no line break ended the file (see _ended_lines). Such a cell is
+    # refused in a ragged row and in a numeric or target column.
     spans_lines = bool(rows) and (
         reader.line_num - header_lines > len(rows)
         or any("\n" in c or "\r" in c for c in rows[-1])

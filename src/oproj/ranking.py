@@ -6,6 +6,11 @@ of the feature's subspace (the feature plus its enabled nonlinear
 transforms). The engine applies it, re-inserts the audited column as a
 constant so the model still sees k columns in the original order, queries
 the model once, and records |baseline - new| as that feature's dependence.
+
+A LinearModel, such as oproj's surrogates, is not queried per feature: its
+prediction on a feature's query is its link of the other columns' share of
+its linear predictor, projected, plus a constant. So the worker projects
+that one column, and the engine reads the prediction off it.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .adapters import ModelHandle
+from .adapters import LinearModel, ModelHandle
 from .dataio import standardize
 from .errors import (
     AdapterError,
@@ -176,6 +181,32 @@ def _removal(
     return project, basis.dropped_count
 
 
+def _reduced_removal(
+    audit: FeatureMatrix, current: str, cfg: AuditConfig, z: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """A linear model's removal: ``(P z_j, dropped_count)``, with j the
+    index of ``current``, z = audit @ weights, z_j = z - weights_j s_j the
+    other columns' share of it and P the projection ``_removal`` applies.
+
+    The removal candidates come from column j alone, so ``_removal`` on
+    the two columns [s_j, z_j] takes the route, drops the candidates and
+    raises the errors that it does on the whole audit matrix.
+    """
+    j = audit.index(current)
+    if audit.k == 1:
+        return np.zeros(audit.n), _removal(audit, current, cfg, None, None)[1]
+    pair = np.empty((audit.n, 2), order="F")
+    pair[:, 0] = audit.data[:, j]
+    np.multiply(audit.data[:, j], weights[j], out=pair[:, 1])
+    np.subtract(z, pair[:, 1], out=pair[:, 1])
+    # Any name but current's will do for z_j's column.
+    reduced = FeatureMatrix._adopt((current, current + "'"), pair)
+    project, dropped = _removal(reduced, current, cfg, None, None)
+    out = np.empty((audit.n, 2))
+    project(out)
+    return out[:, 1], dropped
+
+
 # What a feature's audit flags instead of aborting the run. Its entry's
 # error is the message with the feature's name put before it.
 _AUDIT_ERRORS = (DegenerateFeatureError, DegenerateSubspaceError, AdapterError)
@@ -233,6 +264,15 @@ def rank_all(
     worker thread builds feature j+1's removal (its basis, or the
     single-vector route) while feature j is projected, queried and scored,
     one removal at a time; the model is only called on the caller's thread.
+
+    A LinearModel, link(X @ w + b), is queried only to capture. With S the
+    audit matrix, s its columns, and sigma and mu its scales and offsets
+    (1 and 0 unstandardized), feature j's query would predict
+    link(P z_j + c_j): z_j = sum over i != j of w_i sigma_i s_i, P its
+    projection off j's removal subspace and c_j = b + sum over i != j of
+    w_i mu_i + w_j times j's replacement value. The worker projects z_j
+    alone, an n x 2 removal in place of an n x k one, and the prediction
+    is read off it.
     """
     if y is not None:
         y = np.asarray(y, dtype=np.float64).reshape(-1)
@@ -257,6 +297,19 @@ def rank_all(
             "model's outputs or the target"
         )
     audit, offset, scale = standardize(X) if cfg.standardize else (X, None, None)
+    linear = isinstance(model, LinearModel)
+    if linear:
+        w = model.coefficients
+        weights = w if scale is None else w * scale
+        build = partial(_reduced_removal, z=audit.data @ weights, weights=weights)
+        # c_j less w_j times the replacement value.
+        constant = [
+            model.intercept
+            + (0.0 if offset is None else float(np.dot(np.delete(w, j), np.delete(offset, j))))
+            for j in range(X.k)
+        ]
+    else:
+        build = partial(_removal, scale=scale, offset=offset)
 
     # Lookahead: up to _model_width() launched queries are in flight.
     # Feature j+1's query is built while their models answer; when the
@@ -286,26 +339,32 @@ def rank_all(
             errors[previous] = f"feature '{previous}': {exc}"
         flight.popleft()
 
-    def launch(name: str, project: Callable[[np.ndarray], None], dropped: int) -> None:
+    def launch(name: str, removal, dropped: int) -> None:
         # A function, so that its query is freed on return and one n x k
         # query is alive at a time. The query is a fresh row-major array,
         # in the layout the model reads; the audited column becomes a
-        # constant carrying no information.
-        query = np.empty((X.n, X.k))
-        project(query)
+        # constant carrying no information. A linear model's removal is
+        # its projected z_j instead, and it answers from that.
         idx = X.index(name)
-        query[:, idx] = _replacement_value(X.data[:, idx], cfg)
+        value = _replacement_value(X.data[:, idx], cfg)
+        if linear:
+            start = partial(model.respond, removal + (constant[idx] + w[idx] * value))
+        else:
+            query = np.empty((X.n, X.k))
+            removal(query)
+            query[:, idx] = value
+            start = partial(model.launch, X.names, query)
         if len(flight) == width:
             settle_oldest()
-        flight.append((name, dropped, model.launch(X.names, query)))
+        flight.append((name, dropped, start()))
 
     worker = ThreadPoolExecutor(max_workers=1)
     try:
-        ahead = worker.submit(_removal, audit, X.names[0], cfg, scale, offset)
+        ahead = worker.submit(build, audit, X.names[0], cfg)
         for j, name in enumerate(X.names):
             building = ahead
             if j + 1 < X.k:
-                ahead = worker.submit(_removal, audit, X.names[j + 1], cfg, scale, offset)
+                ahead = worker.submit(build, audit, X.names[j + 1], cfg)
             try:
                 launch(name, *building.result())
             except _AUDIT_ERRORS as exc:

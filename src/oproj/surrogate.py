@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapters import InProcessModel, ModelHandle
+from .adapters import LinearModel, _design
 from .errors import DimensionError, NonFiniteFitError, SingularSystemError
 from .linalg import FeatureMatrix, one_blas_thread
 
@@ -27,42 +27,29 @@ HOLDOUT_FRACTION = 0.2
 _SUBNORMAL_SQUARES = 2.0**-511
 
 
-def _design(X: FeatureMatrix | np.ndarray) -> np.ndarray:
-    arr = X.as_array() if isinstance(X, FeatureMatrix) else np.asarray(X, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DimensionError(f"expected a 2-D design, got shape {arr.shape}")
-    return arr
-
-
 @dataclass(frozen=True)
-class RidgeModel:
+class RidgeModel(LinearModel):
     """Closed-form ridge fit; the intercept column is unpenalized."""
 
-    coefficients: np.ndarray
-    intercept: float
     fit_r2: float
-
-    def predict(self, X: FeatureMatrix | np.ndarray) -> np.ndarray:
-        return _design(X) @ self.coefficients + self.intercept
 
 
 @dataclass(frozen=True)
-class LogisticModel:
+class LogisticModel(LinearModel):
     """Newton's-method logistic fit (see fit_logistic) on native scale.
+    It predicts the probability of class 1 for each row.
 
     ``losses`` holds the non-increasing loss at each of ``iterations``
     gradient evaluations; ``converged`` is False if MAX_ITER stopped the fit.
     """
 
-    coefficients: np.ndarray
-    intercept: float
     iterations: int
     converged: bool
     losses: tuple[float, ...]
 
-    def predict(self, X: FeatureMatrix | np.ndarray) -> np.ndarray:
-        """The probability of class 1 for each row."""
-        return _sigmoid(_design(X) @ self.coefficients + self.intercept)
+    @staticmethod
+    def link(eta: np.ndarray) -> np.ndarray:
+        return _sigmoid(eta)
 
 
 @dataclass(frozen=True)
@@ -273,11 +260,11 @@ def fit_logistic(X: FeatureMatrix | np.ndarray, y) -> LogisticModel:
 
 @dataclass(frozen=True)
 class SurrogateFit:
-    """A trained stand-in plus its held-out fidelity and query handle."""
+    """A trained stand-in, which is also its own model handle, plus its
+    held-out fidelity."""
 
     model: RidgeModel | LogisticModel
     fidelity: FidelityScore
-    handle: ModelHandle
 
 
 @one_blas_thread()
@@ -333,6 +320,4 @@ def train_surrogate(
         holdout_fraction=HOLDOUT_FRACTION,
         n_holdout=int(n_hold),
     )
-    return SurrogateFit(
-        model=model, fidelity=fidelity, handle=InProcessModel(model.predict)
-    )
+    return SurrogateFit(model=model, fidelity=fidelity)

@@ -262,7 +262,7 @@ def test_criterion_7_surrogate_mode_consistency():
         sur = train_surrogate(X, y, "ridge", lam=1e-6, seed=seed)
         if sur.fidelity.value >= 0.99:
             fidelity_ok += 1
-        surrogate_report = rank_all(sur.handle, X, AuditConfig(seed=seed))
+        surrogate_report = rank_all(sur.model, X, AuditConfig(seed=seed))
         names = list(X.names)
         rho = spearman_rank_correlation(
             [direct.entry(n).raw_delta for n in names],

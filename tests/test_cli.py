@@ -234,14 +234,15 @@ def test_unusable_path_ends_as_an_oproj_message(
 
 
 @pytest.mark.parametrize(
-    "line, text, cause",
+    "line, text, end, cause",
     [
-        (2, "1" + "0" * 200_000 + ",1.0,2.0", "hostile.csv at line 3: field larger than"),
-        (0, "a" * 200_000 + ",b,target", "hostile.csv at line 1: field larger than"),
-        (2, "1.0,2\x00.0,3.0", "row 2, column 'b'"),
-        (2, '1.0,"2.0,3.0', "row 2, column 'b' runs over a line break; a closing"),
-        (5, '5.5,5.25,"5.0', "row 5, column 'target' runs over a line break; a closing"),
-        (2, "1.0,2.0", "row 2 has 2 cells"),
+        (2, "1" + "0" * 200_000 + ",1.0,2.0", "\n", "hostile.csv at line 3: field larger than"),
+        (0, "a" * 200_000 + ",b,target", "\n", "hostile.csv at line 1: field larger than"),
+        (2, "1.0,2\x00.0,3.0", "\n", "row 2, column 'b'"),
+        (2, '1.0,"2.0,3.0', "\n", "row 2, column 'b' runs over a line break; a closing"),
+        (5, '5.5,5.25,"5.0', "\n", "row 5, column 'target' runs over a line break; a closing"),
+        (5, '5.5,5.25,"5.0', "", "row 5, column 'target' runs over a line break; a closing"),
+        (2, "1.0,2.0", "\n", "row 2 has 2 cells"),
     ],
     ids=[
         "oversized-cell",
@@ -249,14 +250,16 @@ def test_unusable_path_ends_as_an_oproj_message(
         "nul-byte",
         "unterminated-quote",
         "unterminated-quote-last-row",
+        "unterminated-quote-no-final-newline",
         "ragged-row",
     ],
 )
-def test_hostile_csv_ends_as_an_oproj_message(tmp_path, capsys, line, text, cause):
+def test_hostile_csv_ends_as_an_oproj_message(tmp_path, capsys, line, text, end, cause):
+    # ``end`` follows the last line.
     lines = ["a,b,target"] + [f"{i}.5,{i}.25,{i}.0" for i in range(1, 6)]
     lines[line] = text
     data = tmp_path / "hostile.csv"
-    data.write_text("\n".join(lines) + "\n")
+    data.write_text("\n".join(lines) + end)
     out = tmp_path / "out"
     argv = ["audit", "--data", str(data), "--surrogate", "ridge",
             "--target", "column:target", "--out", str(out)]  # fmt: skip

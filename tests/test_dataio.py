@@ -143,14 +143,24 @@ class TestLoadCsv:
             ('a,b\n1,"2\n"\n3,4\n', "row 1, column 'b'"),  # closed, in a numeric cell
             ('a,b\n1,2\n"3,4\n', "row 2, column 'a'"),  # open to the end of the file
             ('a,b,c\r\n1,"2,3\r\n4,5,6\r\n', "row 1, column 'b'"),  # ragged
+            ('a,b\n1,2\n3,"4', "row 2, column 'b'"),  # open, and no line break ends the file
         ],
-        ids=["numeric", "last-row", "ragged-crlf"],
+        ids=["numeric", "last-row", "ragged-crlf", "no-final-newline"],
     )
     def test_cell_over_a_line_break_names_its_row_and_column(self, tmp_path, text, where):
         p = tmp_path / "d.csv"
         p.write_bytes(text.encode())
         with pytest.raises(DataError, match=f"{where} runs over a line break; a closing"):
             load_csv(p)
+
+    @pytest.mark.parametrize("end", ["", "\n", "\r\n", "\r"])
+    def test_quoted_cells_read_alike_whatever_ends_the_file(self, tmp_path, end):
+        # The quotes send the file through the csv module.
+        p = tmp_path / "d.csv"
+        p.write_bytes(f'a,g\n"1.5",x\n3,"y"{end}'.encode())
+        X, _ = load_csv(p, DatasetSchema({"g": ColumnSpec(kind="categorical")}))
+        assert X.names == ("a", "g=x", "g=y")
+        np.testing.assert_array_equal(X.data, [[1.5, 1.0, 0.0], [3.0, 0.0, 1.0]])
 
     def test_categorical_and_ignored_cells_may_hold_a_line_break(self, tmp_path):
         p = tmp_path / "d.csv"

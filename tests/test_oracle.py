@@ -9,6 +9,7 @@ from oproj.errors import DimensionError
 from oproj.linalg import FeatureMatrix
 from oproj.oracle import loco_refit_importances, spearman_rank_correlation
 from oproj.ranking import AuditConfig, rank_all
+from oproj.surrogate import RidgeModel
 from oproj.transforms import TransformSet, build_removal_candidates
 
 
@@ -133,6 +134,20 @@ class TestClosedFormLinearAudit:
                 standardize=standardized,
             )
             report = linear_audit(X, w, cfg, y)
+            expected = closed_form_deltas(X, w, cfg, y)
+            assert all(e.error is None for e in report.entries)
+            for e in report.entries:
+                assert e.raw_delta == pytest.approx(expected[e.name], rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("standardized", [True, False])
+    def test_ridge_handle_matches_the_closed_form(self, problem, standardized):
+        # A RidgeModel is audited on its linear predictor, one n x 2
+        # removal per feature, rather than on n x k queries.
+        X, w, recorded = problem
+        model = RidgeModel(coefficients=w, intercept=0.0, fit_r2=1.0)
+        for replacement, y in itertools.product(["mean", "zero"], [None, recorded]):
+            cfg = AuditConfig(replacement=replacement, standardize=standardized)
+            report = rank_all(model, X, cfg, y=y)
             expected = closed_form_deltas(X, w, cfg, y)
             assert all(e.error is None for e in report.entries)
             for e in report.entries:

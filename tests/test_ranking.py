@@ -907,6 +907,36 @@ report = rank_all(model, FeatureMatrix([f"x{j + 1}" for j in range(6)], a), Audi
 print(report.baseline.hex(), *(f"{e.name}={e.raw_delta.hex()}" for e in report.entries))
 """
 
+_HEX_SURROGATE_AUDIT = """
+import numpy as np
+from oproj import AuditConfig, FeatureMatrix, rank_all, train_surrogate
+
+rng = np.random.default_rng(7)
+a = rng.standard_normal((30000, 6)) * [1.0, 2.0, 0.5, 3.0, 1.0, 4.0] + [0, 1, -2, 5, 0, 3]
+X = FeatureMatrix([f"x{j + 1}" for j in range(6)], a)
+score = a @ np.arange(6, 0, -1, dtype=np.float64) + rng.standard_normal(30000)
+for y in (score, (score > np.median(score)).astype(float)):
+    fit = train_surrogate(X, y, "ridge" if y is score else "logistic")
+    report = rank_all(fit.model, X, AuditConfig())
+    print(*(f"{e.name}={e.raw_delta.hex()}" for e in report.entries))
+"""
+
+
+def _hex_reports(script: str) -> list[str]:
+    """``script``'s output under OPENBLAS_NUM_THREADS 1 and 2."""
+    src = str(Path(ranking.__file__).resolve().parent.parent)
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=120,
+        )  # fmt: skip
+        assert proc.returncode == 0, proc.stderr
+        reports.append(proc.stdout)
+    return reports
+
 
 class TestBlasThreads:
     """rank_all runs with OpenBLAS on one thread, restores the count it
@@ -917,18 +947,18 @@ class TestBlasThreads:
         # 12000 rows: OpenBLAS splits its dot products and basis products
         # across threads at this size, which changed the report's bits
         # when the audit ran on however many threads it found.
-        src = str(Path(ranking.__file__).resolve().parent.parent)
-        reports = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-            proc = subprocess.run(
-                [sys.executable, "-c", _HEX_AUDIT],
-                env=env, capture_output=True, text=True, timeout=120,
-            )  # fmt: skip
-            assert proc.returncode == 0, proc.stderr
-            reports.append(proc.stdout)
+        reports = _hex_reports(_HEX_AUDIT)
         assert len(reports[0].split()) == 7
+        assert reports[0] == reports[1]
+
+    def test_surrogate_report_identical_across_blas_thread_counts(self):
+        # A ridge and a logistic surrogate, each audited on its linear
+        # predictor. Their n x 2 removals are small products, which
+        # OpenBLAS keeps on one thread at 12000 rows and splits at 30000;
+        # the predictor's product with the audit matrix is one more call
+        # that must run on one thread.
+        reports = _hex_reports(_HEX_SURROGATE_AUDIT)
+        assert len(reports[0].split()) == 12
         assert reports[0] == reports[1]
 
     def test_model_runs_on_the_callers_thread(self, rng):
