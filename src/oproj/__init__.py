@@ -59,7 +59,6 @@ from .report import (
 from .surrogate import (
     FidelityScore,
     LogisticModel,
-    RidgeModel,
     SurrogateFit,
     fit_logistic,
     fit_ridge,

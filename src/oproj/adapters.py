@@ -143,7 +143,7 @@ def _design(X: FeatureMatrix | np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearModel(ModelHandle):
     """A model that predicts ``link(rows @ coefficients + intercept)``,
     with the identity as its link unless a subclass says otherwise.
@@ -156,6 +156,12 @@ class LinearModel(ModelHandle):
 
     coefficients: np.ndarray
     intercept: float
+
+    def __post_init__(self):
+        if np.ndim(self.coefficients) != 1:
+            raise DimensionError(
+                f"coefficients must be 1-D, got shape {np.shape(self.coefficients)}"
+            )
 
     @staticmethod
     def link(eta: np.ndarray) -> np.ndarray:

@@ -519,7 +519,7 @@ class NonlinearTerm:
             raise SyntheticSpecError(f"unknown nonlinear kind '{self.kind}'")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyntheticSpec:
     """Recipe for a correlated-Gaussian benchmark with known ground truth."""
 

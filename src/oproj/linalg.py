@@ -198,7 +198,7 @@ class FeatureMatrix:
         return FeatureMatrix._adopt(names, np.delete(self.data, idx, axis=1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectionBasis:
     """Orthonormal columns spanning the subspace to remove.
 

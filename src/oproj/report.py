@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -63,7 +64,7 @@ def build_document(
             "data": data_descriptor,
             "model": model_descriptor,
             "target": target_policy,
-            "metric": {"kind": cfg.metric.kind, "threshold": cfg.metric.threshold},
+            "metric": asdict(cfg.metric),
             "transforms": {
                 "log": cfg.transforms.enable_log,
                 "poly_degrees": list(cfg.transforms.poly_degrees),
@@ -78,27 +79,8 @@ def build_document(
         },
         "baseline": report.baseline,
         "metric_kind": cfg.metric.kind,
-        "entries": [
-            {
-                "name": e.name,
-                "raw_delta": e.raw_delta,
-                "normalized": e.normalized,
-                "dropped_count": e.dropped_count,
-                "error": e.error,
-            }
-            for e in report.entries
-        ],
-        "surrogate_fidelity": (
-            None
-            if fidelity is None
-            else {
-                "kind": fidelity.kind,
-                "value": fidelity.value,
-                "split_seed": fidelity.split_seed,
-                "holdout_fraction": fidelity.holdout_fraction,
-                "n_holdout": fidelity.n_holdout,
-            }
-        ),
+        "entries": [asdict(e) for e in report.entries],
+        "surrogate_fidelity": None if fidelity is None else asdict(fidelity),
         "categorical_groups": groups,
         "warnings": list(report.warnings),
     }

@@ -27,14 +27,7 @@ HOLDOUT_FRACTION = 0.2
 _SUBNORMAL_SQUARES = 2.0**-511
 
 
-@dataclass(frozen=True)
-class RidgeModel(LinearModel):
-    """Closed-form ridge fit; the intercept column is unpenalized."""
-
-    fit_r2: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LogisticModel(LinearModel):
     """Newton's-method logistic fit (see fit_logistic) on native scale.
     It predicts the probability of class 1 for each row.
@@ -107,7 +100,7 @@ def _normal_equations(
         return Z.T @ Z + np.diag(penalty), Z.T @ y
 
 
-def fit_ridge(X: FeatureMatrix | np.ndarray, y, lam: float = 1e-3) -> RidgeModel:
+def fit_ridge(X: FeatureMatrix | np.ndarray, y, lam: float = 1e-3) -> LinearModel:
     """Solve the ridge normal equations by Cholesky factorization.
 
     Minimizes ||y - (b + X w)||^2 + lam * ||w||^2; the intercept b is not
@@ -170,10 +163,9 @@ def fit_ridge(X: FeatureMatrix | np.ndarray, y, lam: float = 1e-3) -> RidgeModel
         raise NonFiniteFitError(
             "ridge fit is not finite in float64; rescale the data or the target"
         )
-    fit_r2 = _r_squared(y, fitted)
     coefficients = w[1:].copy()
     coefficients.flags.writeable = False
-    return RidgeModel(coefficients=coefficients, intercept=float(w[0]), fit_r2=fit_r2)
+    return LinearModel(coefficients=coefficients, intercept=float(w[0]))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -263,7 +255,7 @@ class SurrogateFit:
     """A trained stand-in, which is also its own model handle, plus its
     held-out fidelity."""
 
-    model: RidgeModel | LogisticModel
+    model: LinearModel
     fidelity: FidelityScore
 
 
@@ -299,7 +291,7 @@ def train_surrogate(
     X_hold = X.data[hold_rows]
 
     if family == "ridge":
-        model: RidgeModel | LogisticModel = fit_ridge(X_train, y[train_rows], lam)
+        model: LinearModel = fit_ridge(X_train, y[train_rows], lam)
         fidelity_value = _r_squared(y[hold_rows], model.predict(X_hold))
         if not math.isfinite(fidelity_value):
             raise NonFiniteFitError(

@@ -583,6 +583,32 @@ class TestAudit:
         assert doc["config"]["model"] == "surrogate:ridge"
         assert doc["entries"][0]["name"] == "x1"
 
+    def test_surrogate_report_keys_follow_the_schema(self, tmp_path):
+        # The golden report's fidelity block is null, so this pins that
+        # block's key order, and the others', on the surrogate route.
+        data = synth(tmp_path, "n=200\ncoefficients=3,1\nnoise_sd=0.05\nseed=3\n")
+        out = tmp_path / "out"
+        argv = ["audit", "--data", str(data), "--surrogate", "ridge",
+                "--target", "column:target", "--out", str(out)]  # fmt: skip
+        assert main(argv) == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert list(doc) == [
+            "format_version", "generated_at", "config", "baseline", "metric_kind",
+            "entries", "surrogate_fidelity", "categorical_groups", "warnings",
+        ]  # fmt: skip
+        assert list(doc["config"]) == [
+            "data", "model", "target", "metric", "transforms", "replacement",
+            "replacement_value", "standardize", "drop_tol", "seed",
+        ]  # fmt: skip
+        assert list(doc["config"]["metric"]) == ["kind", "threshold"]
+        assert list(doc["config"]["transforms"]) == ["log", "poly_degrees", "exp", "exp_clip"]
+        assert [list(e) for e in doc["entries"]] == [
+            ["name", "raw_delta", "normalized", "dropped_count", "error"]
+        ] * 2
+        assert list(doc["surrogate_fidelity"]) == [
+            "kind", "value", "split_seed", "holdout_fraction", "n_holdout",
+        ]  # fmt: skip
+
     def test_ridge_surrogate_audits_a_column_beyond_1e154(self, tmp_path):
         assert big_column_audit(tmp_path, 1.0) == 0
         assert (tmp_path / "out" / "report.json").exists()

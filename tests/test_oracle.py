@@ -3,13 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from oproj.adapters import InProcessModel
+from oproj.adapters import InProcessModel, LinearModel
 from oproj.dataio import standardize
 from oproj.errors import DimensionError
 from oproj.linalg import FeatureMatrix
 from oproj.oracle import loco_refit_importances, spearman_rank_correlation
 from oproj.ranking import AuditConfig, rank_all
-from oproj.surrogate import RidgeModel
 from oproj.transforms import TransformSet, build_removal_candidates
 
 
@@ -141,10 +140,10 @@ class TestClosedFormLinearAudit:
 
     @pytest.mark.parametrize("standardized", [True, False])
     def test_ridge_handle_matches_the_closed_form(self, problem, standardized):
-        # A RidgeModel is audited on its linear predictor, one n x 2
-        # removal per feature, rather than on n x k queries.
+        # A ridge fit's LinearModel is audited on its linear predictor, one
+        # n x 2 removal per feature, rather than on n x k queries.
         X, w, recorded = problem
-        model = RidgeModel(coefficients=w, intercept=0.0, fit_r2=1.0)
+        model = LinearModel(coefficients=w, intercept=0.0)
         for replacement, y in itertools.product(["mean", "zero"], [None, recorded]):
             cfg = AuditConfig(replacement=replacement, standardize=standardized)
             report = rank_all(model, X, cfg, y=y)

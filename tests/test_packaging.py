@@ -1,9 +1,11 @@
 import argparse
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import json
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -239,3 +241,54 @@ def test_every_readme_table_flag_exists_in_the_parser():
         if flag not in parsers[name]._option_string_actions
     )
     assert unknown == []
+
+
+def oproj_dataclasses():
+    """Every dataclass defined in one of the oproj modules."""
+    import oproj
+
+    for info in pkgutil.iter_modules(oproj.__path__):
+        module = importlib.import_module(f"oproj.{info.name}")
+        for obj in vars(module).values():
+            if isinstance(obj, type) and dataclasses.is_dataclass(obj):
+                if obj.__module__ == module.__name__:
+                    yield obj
+
+
+def test_no_dataclass_compares_an_ndarray_field():
+    """A generated ``__eq__`` or ``__hash__`` over an ndarray field raises
+    instead of answering. Such a field sets ``compare=False``, or its class
+    compares by identity."""
+    classes = list(oproj_dataclasses())
+    assert classes
+    offending = sorted(
+        f"{cls.__module__}.{cls.__qualname__}.{f.name}"
+        for cls in classes
+        for f in dataclasses.fields(cls)
+        if "ndarray" in str(f.type) and f.compare and cls.__eq__ is not object.__eq__
+    )
+    assert offending == []
+
+
+def _equal_valued_pairs():
+    from oproj.adapters import LinearModel
+    from oproj.dataio import SyntheticSpec
+    from oproj.linalg import ProjectionBasis
+    from oproj.surrogate import LogisticModel
+
+    fit = {"iterations": 1, "converged": True, "losses": (0.5,)}
+    makers = {
+        "LinearModel": lambda: LinearModel(np.array([1.0, 2.0]), 0.0),
+        "LogisticModel": lambda: LogisticModel(np.array([1.0, 2.0]), 0.0, **fit),
+        "ProjectionBasis": lambda: ProjectionBasis(np.eye(3)[:, :2]),
+        "SyntheticSpec": lambda: SyntheticSpec(n=10, coefficients=(1, 2), correlation=np.eye(2)),
+    }
+    return [pytest.param(make, id=name) for name, make in makers.items()]
+
+
+@pytest.mark.parametrize("make", _equal_valued_pairs())
+def test_array_holding_dataclasses_compare_and_hash_by_identity(make):
+    a, b = make(), make()
+    assert a == a
+    assert a != b
+    assert len({a, b}) == 2
